@@ -56,14 +56,12 @@ class Daemon:
         self.sample_interval = sample_interval or frontend.bin_width
         self.snippet_cost = snippet_cost
         self.procs: list[Any] = []
-        #: identity set mirroring ``procs`` -- membership tests on the
-        #: per-sample hot path must not scan the list
-        self._proc_set: set[int] = set()
         #: the subset of ``procs`` the sampler still walks.  ``procs`` and
-        #: ``_proc_set`` record every attach forever (tool-facing state);
-        #: exited processes leave these live structures right after the
-        #: sample pass that reads their final deltas, so steady-state
-        #: sampling is O(live processes), not O(ever attached)
+        #: the front end's path index record every attach forever
+        #: (tool-facing state); exited processes leave these live
+        #: structures right after the sample pass that reads their final
+        #: deltas, so steady-state sampling is O(live processes), not
+        #: O(ever attached)
         self._live: list[Any] = []
         self._live_set: set[int] = set()
         #: procs whose exit hook fired since the last sample pass
@@ -87,7 +85,7 @@ class Daemon:
                 f"on {proc.node.name}"
             )
         self.procs.append(proc)
-        self._proc_set.add(id(proc))
+        self.frontend.index_process(self, proc)
         self._live.append(proc)
         self._live_set.add(id(proc))
         proc.snippet_cost = self.snippet_cost
@@ -176,14 +174,9 @@ class Daemon:
 
     # --------------------------------------------------------------- instrument
 
-    def instrument_pair(self, data: MetricFocusData) -> None:
-        """Instantiate a metric-focus pair on this daemon's matching processes."""
-        for proc in self.frontend.procs_matching(data.focus):
-            if id(proc) in self._proc_set:
-                self.instrument_proc(data, proc)
-
     def instrument_proc(self, data: MetricFocusData, proc: "SimProcess") -> None:
-        if any(getattr(inst, "proc", None) is proc for inst in data.instances):
+        """Instantiate a metric-focus pair on one of this daemon's processes."""
+        if id(proc) in data.by_proc:
             return  # already instrumented (re-attach path)
         if self.frontend.is_native(data.metric_name):
             sampler = self.frontend.native_sampler(data.metric_name)
@@ -200,6 +193,7 @@ class Daemon:
                 self.frontend.library, data.metric_name, data.focus, mutator
             )
         data.instances.append(instance)
+        data.by_proc[id(proc)] = instance
         self.invalidate_sample_plan()
 
     # ------------------------------------------------------------------- sample
@@ -215,18 +209,18 @@ class Daemon:
         daemon's live-process order with pair order preserved within each
         process.  Rebuilt only when instrumentation or process membership
         changes, so steady-state sampling walks one flat list per process
-        instead of re-filtering every pair's instance list each tick."""
-        by_proc: dict[int, list] = {id(proc): [] for proc in self._live}
-        for data in self.frontend.enabled.values():
-            if not data.active:
-                continue
-            for instance in data.instances:
-                entries = by_proc.get(id(instance.proc))
-                if entries is not None:
-                    entries.append((data, instance))
-        return [
-            (proc, by_proc[id(proc)]) for proc in self._live if by_proc[id(proc)]
-        ]
+        instead of re-filtering every pair's instance list each tick; a
+        rebuild costs this daemon's live processes x active pairs."""
+        active = [data for data in self.frontend.enabled.values() if data.active]
+        plan = []
+        for proc in self._live:
+            key = id(proc)
+            entries = [
+                (data, data.by_proc[key]) for data in active if key in data.by_proc
+            ]
+            if entries:
+                plan.append((proc, entries))
+        return plan
 
     def _ensure_sampling(self) -> None:
         if not self._sampling:

@@ -67,6 +67,10 @@ class MetricFocusData:
         self.bin_width = bin_width
         self.per_process: dict[int, FoldingHistogram] = {}
         self.instances: list[Any] = []  # MetricInstance | NativeInstance
+        #: id(proc) -> that process's instance (at most one per process):
+        #: the already-instrumented check and the daemons' sample-plan
+        #: rebuilds look a process up here instead of scanning ``instances``
+        self.by_proc: dict[int, Any] = {}
         self.active = True
         #: running max of ``folds`` over ``per_process`` -- folds only ever
         #: happen inside :meth:`record`, so tracking the max there keeps the
@@ -185,6 +189,11 @@ class Frontend:
         self.num_bins = num_bins
         self.bin_width = bin_width
         self.daemons: list["Daemon"] = []
+        #: "/Machine/<node>" and "/Machine/<node>/pid<N>" -> processes in
+        #: attach order, filled by Daemon.attach; with one daemon per node
+        #: a lookup is already in (daemon, attach) order
+        self._procs_by_path: dict[str, list[Any]] = {}
+        self._owner: dict[int, "Daemon"] = {}  # id(proc) -> owning daemon
         self.enabled: dict[tuple[str, Focus], MetricFocusData] = {}
         self._seen_tags: set[tuple[int, int]] = set()
         self._window_uids: dict[int, str] = {}  # id(win) -> "N-M"
@@ -202,16 +211,19 @@ class Frontend:
     def all_procs(self) -> list[Any]:
         return [proc for daemon in self.daemons for proc in daemon.procs]
 
+    def index_process(self, daemon: "Daemon", proc: Any) -> None:
+        """Record a newly attached process under its /Machine paths."""
+        node_path = f"/Machine/{proc.node.name}"
+        self._procs_by_path.setdefault(node_path, []).append(proc)
+        self._procs_by_path.setdefault(f"{node_path}/pid{proc.pid}", []).append(proc)
+        self._owner[id(proc)] = daemon
+
     def procs_matching(self, focus: Focus) -> list[Any]:
         """Processes selected by the focus's /Machine component."""
         component = focus.machine
-        selected = []
-        for daemon in self.daemons:
-            for proc in daemon.procs:
-                path = f"/Machine/{proc.node.name}/pid{proc.pid}"
-                if path == component or path.startswith(component + "/") or component == "/Machine":
-                    selected.append(proc)
-        return selected
+        if component == "/Machine":
+            return self.all_procs()
+        return list(self._procs_by_path.get(component, ()))
 
     # -- resource updates (daemon -> front end protocol) -----------------------------
 
@@ -309,8 +321,8 @@ class Frontend:
             normalized=self.metric_is_normalized(metric_name),
         )
         self.enabled[key] = data
-        for daemon in self.daemons:
-            daemon.instrument_pair(data)
+        for proc in self.procs_matching(focus):
+            self._owner[id(proc)].instrument_proc(data, proc)
         return data
 
     def disable(self, metric_name: str, focus: Focus) -> None:
@@ -325,6 +337,7 @@ class Frontend:
                 data.record(instance.proc.pid, instance.proc.kernel.now, delta)
             instance.delete()
         data.instances.clear()
+        data.by_proc.clear()
         data.active = False
         for daemon in self.daemons:
             daemon.invalidate_sample_plan()
@@ -332,13 +345,10 @@ class Frontend:
     def attach_new_process(self, proc: Any) -> None:
         """Extend already-enabled whole-machine pairs onto a newly attached
         process (spawned children join ongoing measurements)."""
+        daemon = self._owner[id(proc)]
         for data in self.enabled.values():
-            if not data.active:
-                continue
-            if data.focus.machine == "/Machine":
-                for daemon in self.daemons:
-                    if proc in daemon.procs:
-                        daemon.instrument_proc(data, proc)
+            if data.active and data.focus.machine == "/Machine":
+                daemon.instrument_proc(data, proc)
 
     def native_sampler(self, metric_name: str) -> Callable[[Any], float]:
         return self._native[metric_name][1]

@@ -199,3 +199,140 @@ class TestPartialRuns:
         assert universe.kernel.now == pytest.approx(5.0)
         partial = tool.data("msgs_sent").total()
         assert 50 <= partial <= 105  # ~one message per 0.05s, minus lag
+
+
+def _linear_procs_matching(frontend, focus):
+    """The pre-index focus matcher: one path build and prefix test per
+    attached process, walked in daemon order then attach order.  Kept
+    here as the oracle the path index must reproduce list for list."""
+    component = focus.machine
+    selected = []
+    for daemon in frontend.daemons:
+        for proc in daemon.procs:
+            path = f"/Machine/{proc.node.name}/pid{proc.pid}"
+            if path == component or path.startswith(component + "/") or component == "/Machine":
+                selected.append(proc)
+    return selected
+
+
+def _idle(mpi):
+    yield from mpi.init()
+    yield from mpi.finalize()
+
+
+class TestMachinePathIndex:
+    def test_index_matches_linear_scan(self):
+        universe = make_universe(num_nodes=12)
+        # unpadded names, so "node1" is a string prefix of "node10"
+        for node in universe.cluster.nodes:
+            node.name = f"node{node.index}"
+        tool = Paradyn(universe)
+        frontend = tool.frontend
+        # 22 ranks fill node0..node10; the later world wraps the
+        # round-robin placement onto node11 and back onto node0
+        universe.launch(ScriptProgram(_idle, name="first"), 22)
+        data = tool.enable("cpu")
+        universe.launch(ScriptProgram(_idle, name="late"), 4)
+        late = universe.worlds[1].endpoints
+        assert {ep.proc.node.name for ep in late} == {"node11", "node0"}
+
+        procs = frontend.all_procs()
+        assert len(procs) == 26
+        node1_pid = next(p for p in procs if p.node.name == "node1").pid
+        late_pid = late[-1].proc.pid
+        paths = [
+            "/Machine",
+            "/Machine/node0",
+            "/Machine/node1",
+            "/Machine/node10",
+            "/Machine/node11",
+            f"/Machine/node1/pid{node1_pid}",
+            f"/Machine/node0/pid{late_pid}",
+            f"/Machine/node1/pid{node1_pid}/thread0",  # deeper than a pid
+            "/Machine/node12",  # unknown node
+            "/Machine/node1/pid100",  # a prefix of pid100N, not a pid
+            "/Machine/",
+            "/Machine/node",
+        ]
+        for path in paths:
+            focus = Focus.whole_program().with_machine(path)
+            expected = _linear_procs_matching(frontend, focus)
+            assert [id(p) for p in frontend.procs_matching(focus)] == [
+                id(p) for p in expected
+            ], path
+
+        node1 = frontend.procs_matching(Focus.whole_program().with_machine("/Machine/node1"))
+        assert node1 and all(p.node.name == "node1" for p in node1)
+        node0 = frontend.procs_matching(Focus.whole_program().with_machine("/Machine/node0"))
+        assert node0[-1] is late[-1].proc  # attach order within the node
+        # the whole-machine pair enabled before the late world covers it
+        assert [id(inst.proc) for inst in data.instances] == [
+            id(p) for p in procs if p.name == "first"
+        ] + [id(ep.proc) for ep in late]
+
+
+class TestEnableCallCounts:
+    """Call counts, not timings: enabling a pair costs one focus lookup
+    plus one instrument call per matching process."""
+
+    RANKS = 64
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from repro.core.daemon import Daemon
+        from repro.core.frontend import Frontend
+
+        calls = {"procs_matching": 0, "instrument_proc": 0}
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        count(Frontend, "procs_matching")
+        count(Daemon, "instrument_proc")
+        universe = make_universe(num_nodes=self.RANKS // 2)
+        tool = Paradyn(universe)
+        universe.launch(ScriptProgram(_idle), self.RANKS)
+        return tool, calls
+
+    def test_single_pid_focus(self, counted):
+        tool, calls = counted
+        proc = tool.frontend.all_procs()[37]
+        focus = Focus.whole_program().with_machine(
+            f"/Machine/{proc.node.name}/pid{proc.pid}"
+        )
+        data = tool.enable("msgs_sent", focus)
+        assert calls == {"procs_matching": 1, "instrument_proc": 1}
+        assert [inst.proc for inst in data.instances] == [proc]
+
+    def test_whole_program_enable(self, counted):
+        tool, calls = counted
+        data = tool.enable("msgs_sent")
+        assert calls == {"procs_matching": 1, "instrument_proc": self.RANKS}
+        assert len(data.instances) == len(data.by_proc) == self.RANKS
+
+    def test_reenabling_active_pair_is_a_no_op(self, counted):
+        tool, calls = counted
+        data = tool.enable("msgs_sent")
+        calls.update(procs_matching=0, instrument_proc=0)
+        assert tool.enable("msgs_sent") is data
+        assert calls == {"procs_matching": 0, "instrument_proc": 0}
+        assert len(data.instances) == self.RANKS
+
+    def test_enable_disable_enable_instruments_each_proc_once(self, counted):
+        tool, calls = counted
+        first = tool.enable("msgs_sent")
+        tool.disable("msgs_sent")
+        assert first.instances == [] and first.by_proc == {}
+        calls.update(procs_matching=0, instrument_proc=0)
+        second = tool.enable("msgs_sent")
+        assert second is not first
+        assert calls == {"procs_matching": 1, "instrument_proc": self.RANKS}
+        assert [id(inst.proc) for inst in second.instances] == [
+            id(p) for p in tool.frontend.all_procs()
+        ]

@@ -132,7 +132,7 @@ def test_run_cell_deterministic_in_process():
 def test_daemon_drops_exited_procs_from_sampling():
     """Processes leave the daemon's live sampling structures right after
     the pass that reads their final deltas; the attach-forever tool state
-    (``procs``, ``_proc_set``) keeps them."""
+    (``procs`` and the front end's path index) keeps them."""
     from repro.core import Paradyn
 
     # MPI_Finalize barriers a world, so staggered exits need two
@@ -174,7 +174,7 @@ def test_daemon_drops_exited_procs_from_sampling():
     for daemon in tool.daemons:
         assert daemon._live == [] and daemon._live_set == set()
         assert not daemon._sampling
-        assert len(daemon.procs) == len(daemon._proc_set)
+        assert all(tool.frontend._owner[id(p)] is daemon for p in daemon.procs)
     assert sum(len(d.procs) for d in tool.daemons) == 2
     # the early-exiting rank still recorded its cpu time (final deltas are
     # read in the same pass that drains the proc)
