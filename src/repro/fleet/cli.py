@@ -93,10 +93,6 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
                        help="seed for the deterministic chaos kill schedule")
     sweep.add_argument("--no-render", action="store_true",
                        help="warm the cache only; skip report regeneration")
-    sweep.add_argument("--no-pipeline", action="store_true",
-                       help="barrier-phased sweep (warm pool drains, then a "
-                       "render pool) instead of the dependency-pipelined "
-                       "single pool -- the byte-identity oracle")
     sweep.add_argument("--workers", default=None, metavar="HOST:PORT,...",
                        help="run the sweep over remote workers attached to "
                        "these coordinators (repro fleet serve) instead of "
@@ -231,7 +227,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         live=args.live,
         live_port=args.live_port,
         live_token=args.token,
-        pipeline=not args.no_pipeline,
     )
     counts = summary["counts"]
     cache_stats = summary["cache"]
@@ -258,7 +253,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{summary['wall']['render']}s; cache hit rate "
         f"{cache_stats['hit_rate']:.0%}"
         + (
-            f"; warm speedup vs serial ~{summary['speedup_vs_serial']}x"
+            f"; speedup vs serial ~{summary['speedup_vs_serial']}x"
             if summary["speedup_vs_serial"]
             else ""
         )

@@ -21,7 +21,7 @@ through progressively coarser evidence:
 A missing, corrupt, or wrong-schema file degrades to an empty store
 (prediction returns ``None`` everywhere); profiles are advisory and must
 never fail a sweep.  The store can also seed itself from a committed
-``BENCH_fleet.json`` ``per_job`` table (schema 3 or 4), so the very
+``BENCH_fleet.json`` ``per_job`` table (schema 3 to 5), so the very
 first profile-guided sweep on a fresh checkout already knows the 21s
 tail job is the longest.
 """
@@ -119,7 +119,7 @@ class ProfileStore:
 
     def seed_from_bench(self, bench_json: Path) -> int:
         """Seed label-level walls from a BENCH_fleet.json ``per_job`` table
-        (schema 3 or 4).  Already-known labels are left alone: measured
+        (schema 3 to 5).  Already-known labels are left alone: measured
         EMAs and earlier seeds beat a committed snapshot.  Returns the
         number of labels seeded."""
         try:

@@ -15,14 +15,14 @@ that makes cross-machine work-stealing safe:
     ``POST /control``          ``drain`` (workers exit when idle) / ``reset``
     =========================  ================================================
 
-Lease state machine (per job)::
+Each ``POST /jobs`` row carries ``digest``, ``spec``, ``label``,
+``priority``, ``lane`` and ``after`` (producer digests; the job leases
+only once every producer this coordinator knows is terminal).  A malformed
+batch is answered 400 and accepts nothing.
 
-    pending --lease--> leased --result(ok)------------------> done
-       ^                 |  \\--result(failed, attempts<=R)--> pending  [retry]
-       |                 \\---expiry (no heartbeat)----------> pending  [stolen]
-       +--- backoff ------+        ... unless steals > bound -> failed [lost]
-
-A worker that misses its heartbeats (crashed, SIGKILLed, partitioned) is
+Per-job state is the shared :class:`~repro.fleet.queue.JobQueue`'s: a
+lease is its ``pop``, a failed result its ``fail`` (retry after backoff),
+a lease expiry its ``lose`` (steal).  A worker that misses its heartbeats (crashed, SIGKILLed, partitioned) is
 presumed dead: the lease expires and the job is re-queued for any other
 worker to steal -- exactly the daemon-failure containment a per-node
 monitoring stack needs.  Failures *reported* by a live worker follow the
@@ -39,15 +39,17 @@ drill can never strand the queue.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
+import re
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..execute import failure_artifact  # noqa: F401  (re-exported for workers)
+from ..queue import DONE, LANES, LEASED, PENDING, JobQueue
 from ..spec import RunSpec, code_version
 from .wire import BackgroundServer, JsonRequestHandler
 
@@ -55,31 +57,68 @@ __all__ = ["FleetCoordinator", "DEFAULT_LEASE_TIMEOUT"]
 
 DEFAULT_LEASE_TIMEOUT = 15.0
 
-#: job states
-PENDING, LEASED, DONE = "pending", "leased", "done"
-
-
-#: lease lanes, in lease order -- interactive jobs (``repro fleet run
-#: --interactive``) jump every queued sweep job regardless of priority
-LANES = ("interactive", "sweep")
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass
 class _Job:
-    digest: str
+    """What the coordinator keeps beside the queue's state for one job."""
+
     spec: dict
     label: str
-    priority: int = 0
-    lane: str = "sweep"
-    state: str = PENDING
-    attempts: int = 0
-    steals: int = 0
-    ready_at: float = 0.0
     wall: float = 0.0
-    status: Optional[str] = None  # completed | failed (terminal)
     artifact: Optional[dict] = None
     cached: bool = False
     chaos_killed: bool = False
+
+
+def _int(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or value < 0:
+        raise ValueError(f"{name} must be a non-negative number, got {value!r}")
+    return float(value)
+
+
+def _digest(value: Any, name: str = "digest") -> str:
+    if not isinstance(value, str) or not _DIGEST.fullmatch(value):
+        raise ValueError(f"{name} must be a hex digest, got {value!r}")
+    return value
+
+
+def _text(payload: dict, key: str, default: Optional[str] = None) -> Optional[str]:
+    """A string field of a POST body (``default`` when absent)."""
+    value = payload.get(key, default)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _parse_row(row: Any) -> dict:
+    """One ``POST /jobs`` row, checked whole; raises ``ValueError``."""
+    if not isinstance(row, dict):
+        raise ValueError(f"job row must be an object, got {row!r}")
+    digest, spec = _digest(row.get("digest")), row.get("spec")
+    after = row.get("after", [])
+    try:
+        RunSpec.from_dict(spec)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"job {digest[:12]}: malformed spec: {exc}") from None
+    if not isinstance(after, list):
+        raise ValueError(f"job {digest[:12]}: after must be a list of digests")
+    return {
+        "digest": digest,
+        "spec": spec,
+        "label": str(row.get("label") or digest[:12]),
+        "priority": _int(row.get("priority", 0), "priority"),
+        "lane": row.get("lane") if row.get("lane") in LANES else "sweep",
+        "after": [_digest(d, "after") for d in after],
+    }
 
 
 @dataclass
@@ -102,13 +141,14 @@ class _Worker:
 class FleetCoordinator(BackgroundServer):
     """Job queue + lease bookkeeping behind the endpoints above.
 
-    Parameters mirror the fork pool where they overlap: ``retries`` and
-    ``backoff`` apply to *reported* failures; ``lease_timeout`` is the
-    heartbeat budget after which a silent worker is presumed dead; and
+    Ordering, ``after`` admission, retries and steal bounds are the shared
+    :class:`~repro.fleet.queue.JobQueue`'s, with the fork pool's defaults:
+    ``retries`` and ``backoff`` apply to *reported* failures, and
     ``max_steals`` bounds re-queues from worker loss (default
-    ``retries + 2``).  ``store_url``, when set, is handed to workers at
-    lease time so a bare ``repro fleet worker host:port`` needs no store
-    flag of its own.
+    ``retries + 2``).  ``lease_timeout`` is the heartbeat budget after
+    which a silent worker is presumed dead.  ``store_url``, when set, is
+    handed to workers at lease time so a bare ``repro fleet worker
+    host:port`` needs no store flag of its own.
     """
 
     def __init__(
@@ -128,20 +168,17 @@ class FleetCoordinator(BackgroundServer):
     ) -> None:
         super().__init__(host, port, token=token)
         self.lease_timeout = lease_timeout
-        self.retries = max(0, retries)
-        self.backoff = backoff
-        self.max_steals = max_steals if max_steals is not None else self.retries + 2
         self.store_url = store_url
         self.job_timeout = job_timeout
         self.verify_code_version = verify_code_version
         self._clock = clock
         self._lock = threading.Lock()
+        self._queue = JobQueue(retries=retries, backoff=backoff,
+                               max_steals=max_steals, clock=clock)
         self._jobs: dict[str, _Job] = {}
         self._leases: dict[str, _Lease] = {}
         self._workers: dict[str, _Worker] = {}
         self._events: list[dict] = []
-        self._seq = itertools.count(1)
-        self._lease_seq = 0
         self._draining = False
         self.steals = 0
         self.retried = 0
@@ -165,51 +202,63 @@ class FleetCoordinator(BackgroundServer):
     # -- submission (the driver) ---------------------------------------------
 
     def submit_jobs(self, payload: dict) -> dict:
-        """``POST /jobs``: accept a batch of specs; idempotent per digest."""
+        """``POST /jobs``: accept a batch of specs; idempotent per digest.
+
+        The whole batch is validated before any state changes: a malformed
+        row or setting raises ``ValueError`` (HTTP 400) and accepts nothing.
+        """
+        rows = payload.get("jobs", [])
+        if not isinstance(rows, list):
+            raise ValueError("jobs must be a list of job rows")
+        rows = [_parse_row(row) for row in rows]
+        retries, timeout = payload.get("retries"), payload.get("timeout")
+        retries = None if retries is None else max(0, _int(retries, "retries"))
+        timeout = None if timeout is None else _number(timeout, "timeout")
+        chaos_kills = _int(payload.get("chaos_kills") or 0, "chaos_kills")
+        chaos_seed = _int(payload.get("chaos_seed", 0), "chaos_seed")
         with self._lock:
-            if payload.get("retries") is not None:
-                self.retries = max(0, int(payload["retries"]))
-                self.max_steals = max(self.max_steals, self.retries + 2)
-            if payload.get("timeout") is not None:
-                self.job_timeout = float(payload["timeout"])
-            if payload.get("chaos_kills"):
-                self._chaos_armed += int(payload["chaos_kills"])
-                self._chaos_rng = random.Random(payload.get("chaos_seed", 0))
+            queue = self._queue
+            if retries is not None:
+                queue.retries = retries
+                queue.max_steals = max(queue.max_steals, retries + 2)
+            if timeout is not None:
+                self.job_timeout = timeout
+            if chaos_kills:
+                self._chaos_armed += chaos_kills
+                self._chaos_rng = random.Random(chaos_seed)
             if payload.get("trace") is not None:
                 self.trace = bool(payload["trace"])
             accepted = 0
             done: list[dict] = []
-            for row in payload.get("jobs", ()):
+            for row in rows:
                 digest = row["digest"]
-                existing = self._jobs.get(digest)
+                existing = queue.jobs.get(digest)
                 if existing is not None:
                     if existing.state == DONE:
-                        # a long-lived coordinator serving successive sweep
-                        # phases: hand the terminal record straight back so
-                        # the driver need not wait on an event that already
+                        # a long-lived coordinator serving successive sweeps:
+                        # hand the terminal record straight back so the
+                        # driver need not wait on an event that already
                         # scrolled past its feed cursor
+                        job = self._jobs[digest]
                         done.append({
                             "digest": digest,
                             "status": existing.status,
-                            "artifact": existing.artifact,
+                            "artifact": job.artifact,
                             "attempt": existing.attempts,
-                            "wall": round(existing.wall, 6),
-                            "store_hit": existing.cached,
+                            "wall": round(job.wall, 6),
+                            "store_hit": job.cached,
                         })
                     continue
-                lane = str(row.get("lane") or "sweep")
-                job = _Job(
-                    digest=digest,
-                    spec=row["spec"],
-                    label=row.get("label") or digest[:12],
-                    priority=int(row.get("priority", 0)),
-                    lane=lane if lane in LANES else "sweep",
+                self._jobs[digest] = _Job(spec=row["spec"], label=row["label"])
+                entry = queue.submit(
+                    digest, priority=row["priority"], lane=row["lane"],
+                    after=row["after"],
                 )
-                self._jobs[digest] = job
-                self._emit("queued", digest=digest, job=job.label,
-                           priority=job.priority, lane=job.lane)
+                self._emit("queued", digest=digest, job=row["label"],
+                           priority=entry.priority, lane=entry.lane,
+                           deps=entry.deps)
                 accepted += 1
-            return {"accepted": accepted, "total": len(self._jobs), "done": done}
+            return {"accepted": accepted, "total": len(queue.jobs), "done": done}
 
     # -- leases (the workers) ------------------------------------------------
 
@@ -222,19 +271,6 @@ class FleetCoordinator(BackgroundServer):
             1 for w in self._workers.values()
             if w.last_seen >= horizon and w.worker_id not in self._chaos_victims
         )
-
-    def _next_pending(self, now: float) -> Optional[_Job]:
-        """Interactive-lane jobs lease first, whatever the sweep queue's
-        priorities; within a lane, lowest (priority, attempts) wins."""
-        best: Optional[_Job] = None
-        best_key = None
-        for job in self._jobs.values():
-            if job.state != PENDING or job.ready_at > now:
-                continue
-            key = (LANES.index(job.lane), job.priority, job.attempts)
-            if best is None or key < best_key:
-                best, best_key = job, key
-        return best
 
     def lease(self, worker_id: str, worker_version: Optional[str] = None) -> dict:
         """``POST /lease``: hand the next pending job to ``worker_id``."""
@@ -256,18 +292,15 @@ class FleetCoordinator(BackgroundServer):
                 worker = self._workers[worker_id] = _Worker(worker_id, now)
                 self._emit("worker-joined", worker=worker_id)
             worker.last_seen = now
-            job = self._next_pending(now)
-            if job is None:
-                idle_shutdown = self._draining and not any(
-                    j.state != DONE for j in self._jobs.values()
-                )
+            entry = self._queue.pop()
+            if entry is None:
+                idle_shutdown = self._draining and not self._queue.unfinished
                 return {"job": None, "shutdown": idle_shutdown}
-            self._lease_seq += 1
-            job.state = LEASED
-            job.attempts += 1
+            digest = entry.digest
+            job = self._jobs[digest]
             lease = _Lease(
                 lease_id=uuid.uuid4().hex,
-                digest=job.digest,
+                digest=digest,
                 worker=worker_id,
                 expires_at=now + self.lease_timeout,
             )
@@ -287,17 +320,17 @@ class FleetCoordinator(BackgroundServer):
                     self._chaos_armed -= 1
                     self.chaos_kills += 1
                     self._chaos_victims.add(worker_id)
-                    self._emit("chaos-kill", digest=job.digest, job=job.label,
-                               worker=worker_id, attempt=job.attempts)
-            self._emit("started", digest=job.digest, job=job.label,
-                       attempt=job.attempts, worker=worker_id)
+                    self._emit("chaos-kill", digest=digest, job=job.label,
+                               worker=worker_id, attempt=entry.attempts)
+            self._emit("started", digest=digest, job=job.label,
+                       attempt=entry.attempts, worker=worker_id)
             return {
                 "job": {
                     "lease": lease.lease_id,
-                    "digest": job.digest,
+                    "digest": digest,
                     "spec": job.spec,
                     "label": job.label,
-                    "attempt": job.attempts,
+                    "attempt": entry.attempts,
                 },
                 "timeout": self.job_timeout,
                 "heartbeat": max(0.05, self.lease_timeout / 3.0),
@@ -321,7 +354,17 @@ class FleetCoordinator(BackgroundServer):
 
     def result(self, lease_id: str, artifact: dict, wall: float = 0.0,
                store_hit: bool = False, trace: Optional[list] = None) -> dict:
-        """``POST /result``: terminal or retried, per the fork-pool rules."""
+        """``POST /result``: terminal or retried, per the fork-pool rules.
+        A non-object ``artifact`` or ``artifact.error``, a bad ``wall`` or a
+        non-list ``trace`` raises ``ValueError`` (HTTP 400) and leaves the
+        lease alone."""
+        if not isinstance(artifact, dict) \
+                or not isinstance(artifact.get("error") or {}, dict):
+            raise ValueError(f"artifact must be an object whose error is an "
+                             f"object or null, got {artifact!r}")
+        wall = _number(wall or 0.0, "wall")
+        if trace is not None and not isinstance(trace, list):
+            raise ValueError("trace must be a list of events")
         now = self._clock()
         with self._lock:
             self._expire_leases(now)
@@ -331,46 +374,46 @@ class FleetCoordinator(BackgroundServer):
                 # elsewhere): this result is from a presumed-dead worker --
                 # drop it, the steal path owns the job now
                 return {"ok": False}
-            job = self._jobs[lease.digest]
+            digest = lease.digest
+            job = self._jobs[digest]
+            attempt = self._queue.jobs[digest].attempts
             worker = self._workers.get(lease.worker)
             if worker is not None:
                 worker.last_seen = now
                 worker.jobs += 1
                 if store_hit:
                     worker.store_hits += 1
-            job.wall += float(wall or 0.0)
+            job.wall += wall
             if trace:
                 # the relay must precede the terminal/retry record: a live
                 # tailer that sees the terminal can then rely on the mirror
                 # tail already being in the feed (and on the driver's disk)
-                self._emit("trace", digest=job.digest, job=job.label,
-                           attempt=job.attempts, worker=lease.worker,
-                           events=list(trace))
+                self._emit("trace", digest=digest, job=job.label,
+                           attempt=attempt, worker=lease.worker,
+                           events=trace)
             if artifact.get("status") == "ok":
-                self._finish(job, "completed", artifact, cached=store_hit,
+                self._finish(digest, "completed", artifact, cached=store_hit,
                              worker=lease.worker)
-            elif job.attempts <= self.retries:
-                delay = self.backoff * (2 ** (job.attempts - 1))
-                job.state = PENDING
-                job.ready_at = now + delay
+                return {"ok": True}
+            delay = self._queue.fail(digest)
+            if delay is None:
+                self._finish(digest, "failed", artifact, worker=lease.worker)
+            else:
                 self.retried += 1
                 error = (artifact.get("error") or {}).get("type", "error")
-                self._emit("retry", digest=job.digest, job=job.label,
-                           attempt=job.attempts, error=error,
+                self._emit("retry", digest=digest, job=job.label,
+                           attempt=attempt, error=error,
                            backoff=round(delay, 3), worker=lease.worker)
-            else:
-                self._finish(job, "failed", artifact, worker=lease.worker)
             return {"ok": True}
 
-    def _finish(self, job: _Job, status: str, artifact: dict, *,
+    def _finish(self, digest: str, status: str, artifact: dict, *,
                 cached: bool = False, worker: Optional[str] = None) -> None:
-        job.state = DONE
-        job.status = status
+        job = self._jobs[digest]
         job.artifact = artifact
         job.cached = cached
-        fields = {"digest": job.digest, "job": job.label,
-                  "attempt": job.attempts, "wall": round(job.wall, 6),
-                  "artifact": artifact}
+        fields = {"digest": digest, "job": job.label,
+                  "attempt": self._queue.jobs[digest].attempts,
+                  "wall": round(job.wall, 6), "artifact": artifact}
         if worker is not None:
             fields["worker"] = worker
         if status == "failed":
@@ -378,6 +421,9 @@ class FleetCoordinator(BackgroundServer):
         if cached:
             fields["store_hit"] = True
         self._emit(status, **fields)
+        for consumer in self._queue.finish(digest, status):
+            self._emit("admitted", digest=consumer.digest,
+                       job=self._jobs[consumer.digest].label, deps=consumer.deps)
 
     # -- expiry / stealing ---------------------------------------------------
 
@@ -386,32 +432,29 @@ class FleetCoordinator(BackgroundServer):
             if lease.expires_at > now:
                 continue
             del self._leases[lease_id]
-            job = self._jobs.get(lease.digest)
             worker = self._workers.get(lease.worker)
             if worker is not None:
                 worker.lost += 1
             self.worker_losses += 1
-            if job is None or job.state != LEASED:  # pragma: no cover - defensive
+            digest = lease.digest
+            entry = self._queue.jobs.get(digest)
+            if entry is None or entry.state != LEASED:  # pragma: no cover - defensive
                 continue
-            job.steals += 1
-            if job.steals > self.max_steals:
-                artifact = failure_artifact(
-                    RunSpec.from_dict(job.spec), "worker-lost",
-                    f"lease expired {job.steals} time(s); "
-                    f"worker {lease.worker} presumed dead",
-                    attempts=job.attempts,
-                )
-                self._emit("lease-expired", digest=job.digest, job=job.label,
-                           worker=lease.worker, attempt=job.attempts)
-                self._finish(job, "failed", artifact, worker=lease.worker)
+            job = self._jobs[digest]
+            self._emit("lease-expired", digest=digest, job=job.label,
+                       worker=lease.worker, attempt=entry.attempts)
+            if self._queue.lose(digest):
+                self.steals += 1
+                self._emit("stolen", digest=digest, job=job.label,
+                           worker=lease.worker, attempt=entry.attempts)
                 continue
-            self.steals += 1
-            job.state = PENDING
-            job.ready_at = now  # stolen work re-queues immediately
-            self._emit("lease-expired", digest=job.digest, job=job.label,
-                       worker=lease.worker, attempt=job.attempts)
-            self._emit("stolen", digest=job.digest, job=job.label,
-                       worker=lease.worker, attempt=job.attempts)
+            artifact = failure_artifact(
+                RunSpec.from_dict(job.spec), "worker-lost",
+                f"lease expired {entry.steals + 1} time(s); "
+                f"worker {lease.worker} presumed dead",
+                attempts=entry.attempts,
+            )
+            self._finish(digest, "failed", artifact, worker=lease.worker)
 
     # -- introspection (the driver / operators) ------------------------------
 
@@ -420,9 +463,7 @@ class FleetCoordinator(BackgroundServer):
         with self._lock:
             self._expire_leases(now)
             events = self._events[cursor:]
-            done = bool(self._jobs) and all(
-                j.state == DONE for j in self._jobs.values()
-            )
+            done = bool(self._queue.jobs) and not self._queue.unfinished
             return {"events": events, "cursor": cursor + len(events),
                     "done": done}
 
@@ -431,8 +472,8 @@ class FleetCoordinator(BackgroundServer):
         with self._lock:
             self._expire_leases(now)
             states = {PENDING: 0, LEASED: 0, DONE: 0}
-            for job in self._jobs.values():
-                states[job.state] += 1
+            for entry in self._queue.jobs.values():
+                states[entry.state] += 1
             return {
                 "status": "ok",
                 "service": "repro-fleet-coordinator",
@@ -445,14 +486,11 @@ class FleetCoordinator(BackgroundServer):
 
     def status(self) -> dict:
         with self._lock:
-            completed = sum(
-                1 for j in self._jobs.values() if j.status == "completed"
-            )
-            failed = sum(1 for j in self._jobs.values() if j.status == "failed")
+            statuses = [e.status for e in self._queue.jobs.values()]
             return {
-                "jobs": len(self._jobs),
-                "completed": completed,
-                "failed": failed,
+                "jobs": len(statuses),
+                "completed": statuses.count("completed"),
+                "failed": statuses.count("failed"),
                 "steals": self.steals,
                 "retries": self.retried,
                 "worker_losses": self.worker_losses,
@@ -475,8 +513,8 @@ class FleetCoordinator(BackgroundServer):
             if action == "reset":
                 # a long-lived coordinator serving successive sweeps: drop
                 # terminal jobs and counters, keep registered workers
-                self._jobs = {d: j for d, j in self._jobs.items()
-                              if j.state != DONE}
+                self._queue.forget_done()
+                self._jobs = {d: self._jobs[d] for d in self._queue.jobs}
                 self._draining = False
                 return {"ok": True, "jobs": len(self._jobs)}
             return {"ok": False, "error": f"unknown action {action!r}"}
@@ -510,26 +548,32 @@ class _CoordinatorHandler(JsonRequestHandler):
         if not self._authorized():
             return
         payload = self.read_json()
+        try:
+            self._post(payload)
+        except ValueError as exc:
+            self.send_json(400, {"error": str(exc)})
+
+    def _post(self, payload: dict) -> None:
         if self.path == "/jobs":
             self.send_json(200, self.coord.submit_jobs(payload))
         elif self.path == "/lease":
             response = self.coord.lease(
-                payload.get("worker", "anonymous"),
-                payload.get("code_version"),
+                _text(payload, "worker", "anonymous"),
+                _text(payload, "code_version"),
             )
             self.send_json(409 if "error" in response else 200, response)
         elif self.path == "/heartbeat":
             self.send_json(200, self.coord.heartbeat(
-                payload.get("lease", ""), payload.get("worker")))
+                _text(payload, "lease", ""), _text(payload, "worker")))
         elif self.path == "/result":
             self.send_json(200, self.coord.result(
-                payload.get("lease", ""),
-                payload.get("artifact") or {},
+                _text(payload, "lease", ""),
+                payload.get("artifact", {}),
                 payload.get("wall", 0.0),
                 bool(payload.get("store_hit")),
                 payload.get("trace"),
             ))
         elif self.path == "/control":
-            self.send_json(200, self.coord.control(payload.get("action", "")))
+            self.send_json(200, self.coord.control(_text(payload, "action", "")))
         else:
             self.send_json(404, {"error": "unknown endpoint"})

@@ -3,9 +3,9 @@
 :class:`RemotePool` is interface-compatible with
 :class:`~repro.fleet.scheduler.FleetScheduler` (``submit`` / ``run`` /
 ``results`` / ``outcomes`` / ``summary``), so ``run_sweep`` swaps one for
-the other when ``--workers`` names coordinator endpoints and every phase
-of the three-phase sweep -- warm, render, observe analysis -- works
-unchanged over remote workers.
+the other when ``--workers`` names coordinator endpoints and the sweep's
+one dependency-pipelined plan -- experiments, renders, observe analysis --
+runs unchanged over remote workers.
 
 The driver:
 
@@ -15,7 +15,10 @@ The driver:
 2. shards the remaining jobs across the coordinator endpoints by a
    deterministic locality score (consumers follow their producers, job
    families stick to one coordinator, load stays bounded; one
-   coordinator is the common case);
+   coordinator is the common case), forwarding each job's ``after``
+   digests so the coordinator's queue holds consumers behind producers;
+   a job whose producer went to another coordinator (or is itself still
+   held) stays here and is posted once that producer's result is in;
 3. polls each coordinator's event feed, re-emitting lifecycle records
    into the sweep's :class:`EventLog` with the *coordinator's* timestamps
    preserved -- so ``observe`` swimlanes and critical-path analysis see
@@ -39,7 +42,7 @@ from typing import Optional, Sequence, Union
 from ..cache import ArtifactStore, StoreIntegrityError
 from ..events import EventLog
 from ..execute import failure_artifact, from_bytes, to_bytes
-from ..scheduler import JobOutcome
+from ..scheduler import JobOutcome, outcome_counts
 from ..spec import RunSpec
 from .wire import Endpoint, WireError, parse_endpoint, request_json
 
@@ -51,7 +54,7 @@ _STRIP_FIELDS = ("artifact",)
 
 
 class RemotePool:
-    """Drive one sweep phase over coordinator-attached remote workers.
+    """Drive one sweep over coordinator-attached remote workers.
 
     Parameters
     ----------
@@ -61,9 +64,8 @@ class RemotePool:
     timeout / retries: forwarded to the coordinators with the job batch.
     chaos_kills: arm N deterministic worker kills on the first
         coordinator (the ``--chaos`` drill, remote edition).
-    drain: after the phase completes, tell coordinators to send idle
-        workers home -- set on the *last* pool of a sweep only, so the
-        warm phase leaves workers alive for the render phase.
+    drain: once the pool completes, tell coordinators to send idle
+        workers home.
     worker_grace: seconds to tolerate zero live workers with jobs
         pending before failing the remainder locally.
     trace_dir: when set, ask workers (via the coordinators) to relay
@@ -106,6 +108,10 @@ class RemotePool:
         self.requested_jobs = len(self.endpoints)
         self.jobs = len(self.endpoints)
         self._submitted: dict[str, tuple[RunSpec, int, str, tuple]] = {}
+        #: digest -> endpoint index, for every job this sweep runs remotely
+        self._home: dict[str, int] = {}
+        self._posted: set[str] = set()
+        self._held: list[str] = []
         self.results: dict[str, dict] = {}
         self.outcomes: dict[str, JobOutcome] = {}
 
@@ -121,17 +127,14 @@ class RemotePool:
     ) -> str:
         """Queue one spec.  ``lane`` is the coordinator's lease lane
         (``interactive`` jumps the sweep queue); ``after`` lists consumed
-        artifact digests -- admission stays the coordinator's problem, but
-        the digests feed the locality score so consumers shard to the
+        artifact digests: the job runs only once those this sweep runs
+        are terminal, and the locality score shards consumers to the
         coordinator their producers went to."""
         digest = spec.digest
         if digest in self._submitted:
             return digest
         self._submitted[digest] = (spec, priority, lane, tuple(after))
-        self.outcomes[digest] = JobOutcome(
-            digest=digest, job=spec.label, program=spec.program,
-            impl=spec.impl, mode=spec.mode,
-        )
+        self.outcomes[digest] = JobOutcome.of(spec)
         return digest
 
     # -- coordinator round trips ---------------------------------------------
@@ -212,9 +215,6 @@ class RemotePool:
         """
         n = len(self.endpoints)
         assigned: dict[int, list[str]] = {i: [] for i in range(n)}
-        if n == 1:
-            assigned[0] = list(pending)
-            return assigned
         cap = -(-len(pending) // n) + 1
         family_home: dict[str, int] = {}
         digest_home: dict[str, int] = {}
@@ -239,82 +239,71 @@ class RemotePool:
         return assigned
 
     def _submit_batches(self, pending: list[str]) -> dict[str, int]:
-        """Shard the jobs across coordinators by locality score; returns
-        each coordinator's event-feed cursor snapshotted *before* submission
-        (a long-lived coordinator has older sweeps' events in its feed)."""
-        assigned = self._assign_endpoints(pending)
-        batches: dict[int, list[dict]] = {}
-        for i, digests in assigned.items():
-            batches[i] = []
-            for digest in digests:
-                spec, priority, lane, _after = self._submitted[digest]
-                batches[i].append({
-                    "digest": digest,
-                    "spec": spec.to_dict(),
-                    "label": spec.label,
-                    "priority": priority,
-                    "lane": lane,
+        """Shard the jobs across coordinators by locality score and post
+        every job that can run; returns each coordinator's event-feed
+        cursor snapshotted *before* submission (a long-lived coordinator
+        has older sweeps' events in its feed)."""
+        for i, digests in self._assign_endpoints(pending).items():
+            self._home.update((digest, i) for digest in digests)
+        self._held = list(pending)
+        cursors = {e.address: self._get(e, "/events?cursor=0").get("cursor", 0)
+                   for e in self.endpoints}
+        self._release(first=True)
+        return cursors
+
+    def _release(self, first: bool = False) -> None:
+        """Post each held job whose producers are resolved or posted to its
+        own coordinator (whose queue then holds it); a coordinator treats a
+        digest it never saw as satisfied, so a job is never posted ahead of
+        a producer that coordinator does not know."""
+        batches: dict[int, list[dict]] = {i: [] for i in range(len(self.endpoints))}
+        held, self._held = self._held, []
+        for digest in held:
+            spec, priority, lane, after = self._submitted[digest]
+            home = self._home[digest]
+            if all(d in self.results or d not in self._home or (
+                d in self._posted and self._home[d] == home
+            ) for d in after):
+                self._posted.add(digest)
+                batches[home].append({
+                    "digest": digest, "spec": spec.to_dict(), "label": spec.label,
+                    "priority": priority, "lane": lane, "after": list(after),
                 })
-        cursors: dict[str, int] = {}
+            else:
+                self._held.append(digest)
         for i, endpoint in enumerate(self.endpoints):
-            feed = self._get(endpoint, "/events?cursor=0")
-            cursors[endpoint.address] = feed.get("cursor", 0)
-            self._consume_stale(feed.get("events", ()))
-            payload = {
-                "jobs": batches[i],
-                "retries": self.retries,
-                "timeout": self.timeout,
-                "trace": self.trace_dir is not None,
-            }
-            if i == 0 and self.chaos_kills:
+            if not (first or batches[i]):
+                continue
+            payload = {"jobs": batches[i], "retries": self.retries,
+                       "timeout": self.timeout, "trace": self.trace_dir is not None}
+            if first and i == 0 and self.chaos_kills:
                 payload["chaos_kills"] = self.chaos_kills
                 payload["chaos_seed"] = self.chaos_seed
             response = self._post(endpoint, "/jobs", payload)
             # digests already terminal on a long-lived coordinator (an
-            # earlier phase ran them) come straight back as results
+            # earlier sweep ran them) come straight back as results
             for row in response.get("done", ()):
                 self._terminal(row)
-        return cursors
-
-    def _consume_stale(self, events) -> None:
-        """Pre-submission feed events: terminal records for digests *we*
-        submitted resolve them (an earlier phase's run); the rest are an
-        older sweep's history -- skip, do not re-log."""
-        for record in events:
-            if (
-                record.get("event") in ("completed", "failed")
-                and record.get("digest") in self._submitted
-                and record.get("digest") not in self.results
-            ):
-                self._terminal(record)
 
     def _poll(self, cursors: dict[str, int]) -> None:
         no_worker_since: Optional[float] = None
-        while True:
+        while self._unresolved():
             progressed = False
-            all_done = True
             alive = 0
-            for endpoint in self.endpoints:
-                try:
-                    feed = self._get(
-                        endpoint, f"/events?cursor={cursors[endpoint.address]}"
-                    )
-                    health = self._get(endpoint, "/health")
-                except WireError:
-                    self._fail_remaining("coordinator-lost",
-                                         f"coordinator {endpoint.address} "
-                                         "became unreachable mid-sweep")
-                    return
-                alive += int(health.get("workers", 0))
-                events = feed.get("events", ())
-                cursors[endpoint.address] = feed.get("cursor",
-                                                     cursors[endpoint.address])
-                progressed |= bool(events)
-                for record in events:
-                    self._ingest(record)
-                if not feed.get("done", False):
-                    all_done = False
-            if all_done and not self._unresolved():
+            try:
+                for endpoint in self.endpoints:
+                    address = endpoint.address
+                    feed = self._get(endpoint, f"/events?cursor={cursors[address]}")
+                    alive += int(self._get(endpoint, "/health").get("workers", 0))
+                    events = feed.get("events", ())
+                    cursors[address] = feed.get("cursor", cursors[address])
+                    progressed |= bool(events)
+                    for record in events:
+                        self._ingest(record)
+                self._release()
+            except WireError as exc:
+                self._fail_remaining("coordinator-lost",
+                                     f"coordinator unreachable mid-sweep: {exc}")
                 return
             now = time.monotonic()
             if alive == 0 and self._unresolved():
@@ -421,14 +410,7 @@ class RemotePool:
     # -- reporting -----------------------------------------------------------
 
     def summary(self) -> dict:
-        rows = list(self.outcomes.values())
-        return {
-            "specs": len(rows),
-            "completed": sum(1 for r in rows if r.status == "completed"),
-            "cached": sum(1 for r in rows if r.status == "cached"),
-            "failed": sum(1 for r in rows if r.status == "failed"),
-            "worker_wall": round(sum(r.wall for r in rows), 6),
-        }
+        return outcome_counts(self.outcomes.values())
 
     def remote_summary(self) -> dict:
         """Coordinator-side counters for BENCH_fleet.json's ``remote``

@@ -18,10 +18,10 @@ experiment runs:
   ``render.bench`` flight-recorder span, reports captured in-memory and
   written by the parent (one writer, no cross-process races);
 * **opaque bench bodies** (benches timing work directly via ``once()`` /
-  the benchmark fixture, with nothing fleet-routed to collect) get their
-  render spec submitted in the *warm* phase, so their heavy work is
-  warmed and cached in parallel instead of re-executed serially at every
-  render.
+  the benchmark fixture, with nothing fleet-routed to collect) are their
+  own experiment: their render spec runs even without rendering, so their
+  heavy work is cached in parallel instead of re-executed serially at
+  every render.
 
 Collection failures are first-class here: a bench that raises while being
 collected lands in :attr:`RenderPlan.failures` instead of being silently
@@ -84,7 +84,7 @@ class CollectTimer(StubTimer):
     Benches that route work through ``pc_figure`` raise :class:`CollectOnly`
     before ever touching the timer; for everything else the body *is* the
     work, so the moment it asks the timer to run something we bail out and
-    mark the bench opaque -- its heavy work then runs once, in a warm-phase
+    mark the bench opaque -- its heavy work then runs once, in a pool
     worker, instead of inline during collection.
     """
 

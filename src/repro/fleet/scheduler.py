@@ -9,16 +9,15 @@ written spool files rather than pipes, so a SIGKILLed worker can never
 wedge the parent.
 
 The pool is deliberately dependency-free (no concurrent.futures): the run
-loop owns every state transition, which is what makes per-job timeouts,
-bounded retries, priority ordering, and the JSONL lifecycle log exact.
+loop owns every process transition, which is what makes per-job timeouts
+and the JSONL lifecycle log exact.  Ordering, ``after=`` admission and
+bounded retries are the shared :class:`~repro.fleet.queue.JobQueue`'s.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import os
-import random
 import tempfile
 import time
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .cache import ArtifactStore, StoreIntegrityError
 from .events import EventLog
 from .execute import execute_spec, failure_artifact, from_bytes, to_bytes
 from .profiles import ProfileStore
+from .queue import JobQueue
 from .spec import RunSpec
 
 __all__ = ["FleetScheduler", "JobOutcome"]
@@ -105,22 +105,15 @@ class JobOutcome:
     wall: float = 0.0  # seconds of worker wall-clock across attempts
     error: Optional[str] = None
 
-
-@dataclass
-class _Pending:
-    spec: RunSpec
-    priority: int
-    attempts: int = 0
-    ready_at: float = 0.0
-    #: wall predicted by the profile store; longer runs first (LPT)
-    predicted: Optional[float] = None
-    #: digests that must be terminal before this job may launch
-    after: tuple = ()
+    @classmethod
+    def of(cls, spec: RunSpec) -> "JobOutcome":
+        return cls(spec.digest, spec.label, spec.program, spec.impl, spec.mode)
 
 
 @dataclass
 class _Active:
-    pending: _Pending
+    spec: RunSpec
+    attempt: int
     proc: multiprocessing.process.BaseProcess
     out_path: Path
     started_at: float
@@ -153,13 +146,10 @@ class FleetScheduler:
     trace_dir: directory for per-worker flight-recorder mirror files
         (``--trace``); ``None`` disables mirroring (workers still keep
         their in-memory ring for failure artifacts).
-    profiles: a :class:`~repro.fleet.profiles.ProfileStore`; within one
-        explicit ``priority`` class, ready jobs launch longest-predicted
-        -first (LPT) instead of submission order.  Completed walls are
-        EMA-merged back into the store (the caller saves it).
-    order_seed: seeded shuffle of ready-queue tie-breaks.  Jobs with
-        equal ``(priority, predicted)`` launch in a pseudo-random order
-        instead of FIFO -- the adversarial-order determinism tests prove
+    profiles: a :class:`~repro.fleet.profiles.ProfileStore` whose
+        predicted walls order each ``priority`` class longest-first (LPT);
+        completed walls are EMA-merged back (the caller saves it).
+    order_seed: seeded shuffle of ready-queue tie-breaks (instead of FIFO);
         artifacts are byte-identical under any admission order.
     """
 
@@ -182,8 +172,6 @@ class FleetScheduler:
         self.requested_jobs = max(1, jobs if jobs is not None else usable)
         self.jobs = min(self.requested_jobs, usable)
         self.timeout = timeout
-        self.retries = max(0, retries)
-        self.backoff = backoff
         self.cache = cache
         self.events = events if events is not None else EventLog()
         self.executor = executor
@@ -194,12 +182,9 @@ class FleetScheduler:
         self._free_slots = list(range(self.jobs))[::-1]
 
         self.profiles = profiles
-        self._rng = random.Random(order_seed) if order_seed is not None else None
-        self._heap: list[tuple[tuple, int, _Pending]] = []
-        self._deferred: list[_Pending] = []
-        self._blocked: list[_Pending] = []
-        self._seq = 0
-        self._submitted: dict[str, RunSpec] = {}
+        self._queue = JobQueue(retries=retries, backoff=backoff,
+                               order_seed=order_seed)
+        self._specs: dict[str, RunSpec] = {}
         self.results: dict[str, dict] = {}
         self.outcomes: dict[str, JobOutcome] = {}
 
@@ -207,50 +192,23 @@ class FleetScheduler:
 
     def submit(self, spec: RunSpec, *, priority: int = 0, after: tuple = ()) -> str:
         """Queue one spec (lower ``priority`` runs first); returns its digest.
-        Duplicate digests are coalesced into a single job.
-
-        ``after`` lists artifact digests this job consumes: it is held out
-        of the ready queue until every listed digest is terminal (completed,
-        cached, or failed -- matching the old barrier, where renders ran
-        regardless of warm failures).  Digests never submitted to this pool
-        are ignored; dependencies must be submitted before their consumers.
-        """
+        Duplicate digests are coalesced into a single job.  ``after`` lists
+        artifact digests this job consumes: it launches once each one this
+        pool knows is terminal, even failed (see :class:`JobQueue`)."""
         digest = spec.digest
-        if digest in self._submitted:
+        if digest in self._specs:
             return digest
-        self._submitted[digest] = spec
-        self.outcomes[digest] = JobOutcome(
-            digest=digest,
-            job=spec.label,
-            program=spec.program,
-            impl=spec.impl,
-            mode=spec.mode,
-        )
+        self._specs[digest] = spec
+        self.outcomes[digest] = JobOutcome.of(spec)
         predicted = self.profiles.predict(spec) if self.profiles is not None else None
-        deps = tuple(
-            d for d in after if d in self._submitted and d not in self.results
-        )
-        pending = _Pending(
-            spec=spec, priority=priority, predicted=predicted, after=deps
-        )
-        if deps:
-            self._blocked.append(pending)
-        else:
-            self._push(pending)
+        job = self._queue.submit(digest, priority=priority, predicted=predicted,
+                                 after=after)
         self.events.emit(
             "queued", digest=digest, job=spec.label, priority=priority,
             predicted=None if predicted is None else round(predicted, 6),
-            deps=len(deps),
+            deps=job.deps,
         )
         return digest
-
-    def _push(self, pending: _Pending) -> None:
-        self._seq += 1
-        # explicit priority class first, then longest-predicted-first (LPT);
-        # the tie-break is FIFO unless order_seed shuffles it
-        tie = self._rng.random() if self._rng is not None else 0.0
-        key = (pending.priority, -(pending.predicted or 0.0), tie)
-        heapq.heappush(self._heap, (key, self._seq, pending))
 
     # -- run loop ------------------------------------------------------------
 
@@ -259,7 +217,7 @@ class FleetScheduler:
         Never raises for job failures -- those become failure artifacts."""
         ctx = _mp_context()
         active: list[_Active] = []
-        queued = len(self._heap) + len(self._deferred) + len(self._blocked)
+        queued = self._queue.unfinished
         self.events.emit(
             "pool-start", workers=self.jobs, requested=self.requested_jobs,
             queued=queued,
@@ -269,13 +227,9 @@ class FleetScheduler:
             rec.begin("fleet.pool", workers=self.jobs, jobs=queued)
         with tempfile.TemporaryDirectory(prefix="repro-fleet-") as spool:
             spool_dir = Path(spool)
-            while self._heap or self._deferred or self._blocked or active:
-                now = time.monotonic()
-                progressed = self._promote_deferred(now)
-                progressed |= self._promote_blocked()
-                progressed |= self._launch(ctx, spool_dir, now, active)
+            while self._queue.unfinished:
+                progressed = self._launch(ctx, spool_dir, active)
                 progressed |= self._reap(active)
-                progressed |= self._promote_blocked()
                 if not progressed:
                     time.sleep(self.poll_interval)
         summary = self.summary()
@@ -286,41 +240,17 @@ class FleetScheduler:
                     failed=summary["failed"])
         return self.results
 
-    def _promote_deferred(self, now: float) -> bool:
-        ready = [p for p in self._deferred if p.ready_at <= now]
-        if not ready:
-            return False
-        for pending in ready:
-            self._deferred.remove(pending)
-            self._push(pending)
-        return True
-
-    def _promote_blocked(self) -> bool:
-        """Admit dependency-blocked jobs whose consumed digests are all
-        terminal (``self.results`` holds every terminal artifact, including
-        failures), preserving submission order among the newly ready."""
-        ready = [
-            p for p in self._blocked
-            if all(d in self.results for d in p.after)
-        ]
-        if not ready:
-            return False
-        for pending in ready:
-            self._blocked.remove(pending)
-            self.events.emit(
-                "admitted", digest=pending.spec.digest,
-                job=self.outcomes[pending.spec.digest].job, deps=len(pending.after),
-            )
-            self._push(pending)
-        return True
-
-    def _launch(self, ctx, spool_dir: Path, now: float, active: list[_Active]) -> bool:
+    def _launch(self, ctx, spool_dir: Path, active: list[_Active]) -> bool:
         progressed = False
-        while self._heap and len(active) < self.jobs:
-            _, _, pending = heapq.heappop(self._heap)
-            digest = pending.spec.digest
+        while len(active) < self.jobs:
+            job = self._queue.pop()
+            if job is None:
+                break
+            progressed = True
+            digest = job.digest
+            spec = self._specs[digest]
             outcome = self.outcomes[digest]
-            if self.cache is not None and pending.attempts == 0:
+            if self.cache is not None and job.attempts == 1:
                 try:
                     data = self.cache.get(digest)
                 except StoreIntegrityError:
@@ -334,29 +264,29 @@ class FleetScheduler:
                     if rec is not None:
                         rec.instant("cache.hit", job=outcome.job,
                                     digest=digest[:12])
-                    progressed = True
+                    self._finish(digest, "cached")
                     continue
-            pending.attempts += 1
-            outcome.attempts = pending.attempts
-            out_path = spool_dir / f"{digest}.{pending.attempts}.json"
+            outcome.attempts = job.attempts
+            out_path = spool_dir / f"{digest}.{job.attempts}.json"
             slot = self._free_slots.pop() if self._free_slots else len(active)
             trace_path = None
             if self.trace_dir is not None:
                 trace_path = str(
-                    self.trace_dir
-                    / f"worker-{digest[:12]}.{pending.attempts}.jsonl"
+                    self.trace_dir / f"worker-{digest[:12]}.{job.attempts}.jsonl"
                 )
             proc = ctx.Process(
                 target=_worker_main,
-                args=(self.executor, pending.spec.to_dict(), str(out_path),
-                      trace_path, pending.attempts),
+                args=(self.executor, spec.to_dict(), str(out_path),
+                      trace_path, job.attempts),
                 daemon=True,
             )
             proc.start()
+            now = time.monotonic()
             deadline = now + self.timeout if self.timeout is not None else None
             active.append(
                 _Active(
-                    pending=pending,
+                    spec=spec,
+                    attempt=job.attempts,
                     proc=proc,
                     out_path=out_path,
                     started_at=now,
@@ -367,14 +297,13 @@ class FleetScheduler:
             )
             self.events.emit(
                 "started", digest=digest, job=outcome.job,
-                attempt=pending.attempts, slot=slot,
+                attempt=job.attempts, slot=slot,
             )
             rec = _observe_active()
             if rec is not None:
                 rec.instant("job.start", job=outcome.job, digest=digest[:12],
-                            attempt=pending.attempts, slot=slot)
+                            attempt=job.attempts, slot=slot)
                 rec.counter("workers.active", len(active))
-            progressed = True
         return progressed
 
     def _reap(self, active: list[_Active]) -> bool:
@@ -388,7 +317,7 @@ class FleetScheduler:
             self._free_slots.append(entry.slot)
             progressed = True
             wall = now - entry.started_at
-            outcome = self.outcomes[entry.pending.spec.digest]
+            outcome = self.outcomes[entry.spec.digest]
             outcome.wall += wall
             if timed_out and entry.proc.is_alive():
                 entry.proc.terminate()
@@ -398,7 +327,7 @@ class FleetScheduler:
                     entry.proc.join(1.0)
                 self._trace_job_done(entry, wall, "timeout", len(active))
                 self._job_failed(
-                    entry.pending, "timeout",
+                    entry, "timeout",
                     f"exceeded {self.timeout}s wall-clock limit",
                     flight_recorder=self._salvage_flight_recorder(entry),
                 )
@@ -409,7 +338,7 @@ class FleetScheduler:
             except (FileNotFoundError, ValueError):
                 self._trace_job_done(entry, wall, "crashed", len(active))
                 self._job_failed(
-                    entry.pending,
+                    entry,
                     "crashed",
                     f"worker died with exit code {entry.proc.exitcode} "
                     "before writing a result",
@@ -418,13 +347,13 @@ class FleetScheduler:
                 continue
             if artifact.get("status") == "ok":
                 self._trace_job_done(entry, wall, "completed", len(active))
-                self._job_completed(entry.pending, artifact, wall)
+                self._job_completed(entry, artifact, wall)
             else:
                 error = artifact.get("error") or {}
                 self._trace_job_done(entry, wall,
                                      error.get("type", "error"), len(active))
                 self._job_failed(
-                    entry.pending,
+                    entry,
                     error.get("type", "error"),
                     error.get("message", ""),
                     flight_recorder=error.get("flight_recorder"),
@@ -436,9 +365,9 @@ class FleetScheduler:
         rec = _observe_active()
         if rec is None:
             return
-        outcome = self.outcomes[entry.pending.spec.digest]
+        outcome = self.outcomes[entry.spec.digest]
         rec.complete(f"job:{outcome.job}", wall, slot=entry.slot,
-                     attempt=entry.pending.attempts, status=status)
+                     attempt=entry.attempt, status=status)
         rec.counter("workers.active", active_count)
 
     def _salvage_flight_recorder(
@@ -461,52 +390,57 @@ class FleetScheduler:
 
     # -- transitions ---------------------------------------------------------
 
-    def _job_completed(self, pending: _Pending, artifact: dict, wall: float) -> None:
-        digest = pending.spec.digest
+    def _finish(self, digest: str, status: str) -> None:
+        """Terminal transition (after its event): admit waiting consumers."""
+        for job in self._queue.finish(digest, status):
+            self.events.emit("admitted", digest=job.digest,
+                             job=self.outcomes[job.digest].job, deps=job.deps)
+
+    def _job_completed(self, entry: _Active, artifact: dict, wall: float) -> None:
+        digest = entry.spec.digest
         self.results[digest] = artifact
         outcome = self.outcomes[digest]
         outcome.status = "completed"
         if self.cache is not None:
             self.cache.put(digest, to_bytes(artifact))
         if self.profiles is not None:
-            self.profiles.observe(pending.spec, wall)
+            self.profiles.observe(entry.spec, wall)
         self.events.emit(
             "completed",
             digest=digest,
             job=outcome.job,
-            attempt=pending.attempts,
+            attempt=entry.attempt,
             wall=round(wall, 6),
         )
+        self._finish(digest, "completed")
 
     def _job_failed(
         self,
-        pending: _Pending,
+        entry: _Active,
         error_type: str,
         message: str,
         flight_recorder: Optional[dict] = None,
     ) -> None:
-        digest = pending.spec.digest
+        digest = entry.spec.digest
         outcome = self.outcomes[digest]
-        if pending.attempts <= self.retries:
-            delay = self.backoff * (2 ** (pending.attempts - 1))
-            pending.ready_at = time.monotonic() + delay
-            self._deferred.append(pending)
+        delay = self._queue.fail(digest)
+        if delay is not None:
             self.events.emit(
                 "retry",
                 digest=digest,
                 job=outcome.job,
-                attempt=pending.attempts,
+                attempt=entry.attempt,
                 error=error_type,
                 backoff=round(delay, 3),
             )
             rec = _observe_active()
             if rec is not None:
                 rec.instant("job.retry", job=outcome.job, digest=digest[:12],
-                            attempt=pending.attempts, error=error_type,
+                            attempt=entry.attempt, error=error_type,
                             backoff=round(delay, 3))
             return
         artifact = failure_artifact(
-            pending.spec, error_type, message, attempts=pending.attempts,
+            entry.spec, error_type, message, attempts=entry.attempt,
             flight_recorder=flight_recorder,
         )
         self.results[digest] = artifact  # contained: never cached, sweep goes on
@@ -516,19 +450,23 @@ class FleetScheduler:
             "failed",
             digest=digest,
             job=outcome.job,
-            attempt=pending.attempts,
+            attempt=entry.attempt,
             error=error_type,
         )
-
-    # -- reporting -----------------------------------------------------------
+        self._finish(digest, "failed")
 
     def summary(self) -> dict:
-        rows = list(self.outcomes.values())
-        executed = [r for r in rows if r.status == "completed"]
-        return {
-            "specs": len(rows),
-            "completed": len(executed),
-            "cached": sum(1 for r in rows if r.status == "cached"),
-            "failed": sum(1 for r in rows if r.status == "failed"),
-            "worker_wall": round(sum(r.wall for r in rows), 6),
-        }
+        return outcome_counts(self.outcomes.values())
+
+
+def outcome_counts(outcomes) -> dict:
+    """The ``counts`` block of a pool's summary (fork or remote)."""
+    rows = list(outcomes)
+    statuses = [r.status for r in rows]
+    return {
+        "specs": len(rows),
+        "completed": statuses.count("completed"),
+        "cached": statuses.count("cached"),
+        "failed": statuses.count("failed"),
+        "worker_wall": round(sum(r.wall for r in rows), 6),
+    }

@@ -1,22 +1,21 @@
-"""Sweep definitions and the phased sweep driver.
+"""Sweep definitions and the sweep driver.
 
-``repro fleet sweep`` regenerates the full paper reproduction in three
-phases, every one of them incremental against the content-addressed cache:
+``repro fleet sweep`` regenerates the full paper reproduction in two
+steps, both incremental against the content-addressed cache:
 
 1. **collect** -- the bench suite runs in collect mode
    (:func:`~repro.fleet.render.collect_render_plan`): each bench entry
    point records the :class:`RunSpec` runs it would execute and gets a
    ``mode="render"`` spec of its own whose digest is its *render key*
    (bench source + ``common.py`` + consumed-artifact digests + mode salt);
-2. **warm** -- every experiment spec (bench-collected runs, the sanitizer
-   sweep over the clean programs, the seeded-defect library) plus the
-   render specs of *opaque* bench bodies executes through the
-   :class:`FleetScheduler`: parallel across cores, cached, failures
-   contained;
-3. **render** -- the per-bench render specs go through a second scheduler
-   pool: an unchanged render key is a cache hit (the bench is skipped and
-   its reports restored byte-identically), stale benches re-render in
-   parallel, and the parent writes every captured report to
+2. **one pool** -- every experiment spec (bench-collected runs, the
+   sanitizer sweep over the clean programs, the seeded-defect library)
+   and every render spec go through one pool -- the local
+   :class:`FleetScheduler` or, with ``--workers``, the remote pool --
+   parallel, cached, failures contained.  Each render is admitted once
+   the artifacts it consumes are terminal; an unchanged render key is a
+   cache hit (the bench is skipped and its reports restored
+   byte-identically), and the parent writes every captured report to
    ``benchmarks/reports/`` as the single writer.
 
 Spec collection reuses the bench suite as the single source of truth: in
@@ -148,41 +147,6 @@ def render_benchmarks() -> tuple[int, list[tuple[str, str]]]:
     return ran, failures
 
 
-def _make_pool(
-    *,
-    workers: Optional[Sequence[str]],
-    jobs: Optional[int],
-    timeout: Optional[float],
-    retries: int,
-    cache: Optional[ArtifactStore],
-    events: EventLog,
-    trace_dir: Optional[Path],
-    chaos_kills: int = 0,
-    chaos_seed: int = 0,
-    drain: bool = False,
-    profiles: Optional[ProfileStore] = None,
-    order_seed: Optional[int] = None,
-):
-    """One sweep-phase pool: the fork pool by default, the remote pool when
-    ``--workers`` names coordinator endpoints.  Both speak the same
-    submit/run/outcomes/summary surface, so the phases are pool-agnostic.
-    Profiles/order_seed steer only the local pool: remote lease order is
-    the coordinator's call (lanes + locality, see ``remote/``)."""
-    if workers:
-        from .remote.pool import RemotePool  # lazy: local sweeps stay lean
-
-        return RemotePool(
-            workers, store=cache, timeout=timeout, retries=retries,
-            events=events, chaos_kills=chaos_kills, chaos_seed=chaos_seed,
-            drain=drain, trace_dir=trace_dir,
-        )
-    return FleetScheduler(
-        jobs=jobs, timeout=timeout, retries=retries, cache=cache,
-        events=events, trace_dir=trace_dir, profiles=profiles,
-        order_seed=order_seed,
-    )
-
-
 def _restore_renders(
     plan: RenderPlan,
     outcomes_by_digest: dict,
@@ -190,19 +154,16 @@ def _restore_renders(
     wall: float,
 ):
     """Restore every captured report from the render artifacts and build
-    the render summary; returns ``(render_summary, outcomes)``.  Shared by
-    the barrier render phase and the pipelined single-pool sweep -- the
-    parent is the single writer of ``benchmarks/reports/`` either way."""
+    the render summary -- the parent is the single writer of
+    ``benchmarks/reports/``."""
     outcomes = [
         outcomes_by_digest[entry.spec.digest]
         for entry in plan.benches
         if entry.spec.digest in outcomes_by_digest
     ]
     by_digest = {entry.spec.digest: entry for entry in plan.benches}
-    reports_dir = None
     bench = bench_dir()
-    if bench is not None:
-        reports_dir = bench / "reports"
+    reports_dir = bench / "reports" if bench is not None else None
     failures: list[tuple[str, str]] = []
     per_bench: list[dict] = []
     for outcome in sorted(outcomes, key=lambda o: (-o.wall, o.job)):
@@ -239,40 +200,45 @@ def _restore_renders(
         "failures": [list(f) for f in failures],
         "per_bench": per_bench,
     }
-    return summary, outcomes
+    return summary
 
 
-def _render_phase(
-    plan: RenderPlan,
-    *,
-    workers: Optional[Sequence[str]],
-    jobs: Optional[int],
-    timeout: Optional[float],
-    retries: int,
-    cache: ArtifactStore,
-    events: EventLog,
-    trace_dir: Optional[Path],
-    profiles: Optional[ProfileStore] = None,
-    order_seed: Optional[int] = None,
-):
-    """Run the per-bench render specs through a scheduler pool and restore
-    every captured report; returns ``(render_summary, outcomes, pool)``."""
-    t0 = time.monotonic()
-    scheduler = _make_pool(
-        workers=workers, jobs=jobs, timeout=timeout, retries=retries,
-        cache=cache, events=events, trace_dir=trace_dir,
-        drain=True,  # the render pool is the sweep's last: send workers home
-        profiles=profiles, order_seed=order_seed,
-    )
-    for entry in plan.benches:
-        # consumed digests are a locality hint for the remote pool (shard
-        # the render next to its producers); the local pool drops them --
-        # they were never submitted to this phase's pool
-        scheduler.submit(entry.spec, after=entry.consumes)
-    results = scheduler.run()
-    wall = time.monotonic() - t0
-    summary, outcomes = _restore_renders(plan, scheduler.outcomes, results, wall)
-    return summary, outcomes, scheduler
+@contextlib.contextmanager
+def _sweep_services(cache, trace_dir, events, *, live, live_port, live_token,
+                    live_linger):
+    """Point bench bodies at this sweep's cache and, with ``live``, serve
+    the growing trace for the sweep's duration."""
+    # bench bodies resolve the cache via default_cache(); point workers at
+    # this sweep's cache root for the duration (inherited over fork)
+    prev_cache_env = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(cache.root)
+    observatory = None
+    try:
+        if live:
+            from ..observe.live import LiveObservatory  # mode-salt: none
+
+            observatory = LiveObservatory(
+                trace_dir, getattr(events, "path", None),
+                port=live_port, token=live_token,
+            ).start()
+            print(
+                f"# live observatory: {observatory.url}  "
+                f"(attach with `repro observe watch {observatory.address}`)",
+                file=sys.stderr,
+            )
+        yield
+        if observatory is not None:
+            # every writer is done: seal the feed, then give attached
+            # clients a moment to drain it before the socket goes away
+            observatory.finalize()
+            time.sleep(live_linger)
+    finally:
+        if observatory is not None:
+            observatory.shutdown()
+        if prev_cache_env is None:
+            os.environ.pop("REPRO_CACHE_DIR", None)
+        else:
+            os.environ["REPRO_CACHE_DIR"] = prev_cache_env
 
 
 def run_sweep(
@@ -294,7 +260,6 @@ def run_sweep(
     live_port: int = 0,
     live_token: Optional[str] = None,
     live_linger: float = 2.0,
-    pipeline: bool = True,
     order_seed: Optional[int] = None,
 ) -> dict:
     """Full sweep: collect render keys, then run one profile-guided,
@@ -304,19 +269,16 @@ def run_sweep(
     wall profiles.  Returns the machine-readable summary also written to
     ``bench_out``.
 
-    ``pipeline=False`` restores the old barrier-phased plan (warm pool
-    drains completely, then a second render pool runs) -- the byte-identity
-    oracle the pipelined schedule is compared against in tests and CI.
     ``order_seed`` seeds a shuffle of ready-queue tie-breaks (adversarial
     -order determinism testing); artifacts and reports are byte-identical
-    for every value.
+    for every value, and to a serial (``jobs=1``) sweep's.
 
-    With ``workers`` set (``--workers host:port,...``), the warm and render
-    phases run through coordinator-attached remote workers instead of local
-    forks; ``cache`` is then typically an
-    :class:`~repro.fleet.remote.store.HTTPStore` so every machine shares
-    one warm store.  ``--chaos`` additionally arms ``chaos`` deterministic
-    worker kills (seeded by ``chaos_seed``) to drill the steal/retry path.
+    With ``workers`` set (``--workers host:port,...``), the same plan runs
+    through coordinator-attached remote workers instead of local forks;
+    ``cache`` is then typically an :class:`~repro.fleet.remote.store.HTTPStore`
+    so every machine shares one warm store.  ``--chaos`` additionally arms
+    ``chaos`` deterministic worker kills (seeded by ``chaos_seed``) to
+    drill the steal/retry path.
 
     With ``trace_dir`` set (``--trace``), the scheduler and every worker
     mirror their flight recorders into that directory; afterwards the
@@ -331,6 +293,8 @@ def run_sweep(
     service only *reads* what the sweep writes anyway, so artifacts and
     cache state are identical with or without it.
     """
+    if suite not in SWEEP_SUITES:
+        raise ValueError(f"unknown suite {suite!r}; have {SWEEP_SUITES}")
     cache = cache if cache is not None else default_cache()
     if live and trace_dir is None:
         raise ValueError("live=True needs a trace_dir (--live implies --trace)")
@@ -349,305 +313,208 @@ def run_sweep(
         if live and events_path is None:
             events_path = trace_dir / "events.log"
         events = EventLog(events_path)
-    # bench bodies resolve the cache via default_cache(); point workers at
-    # this sweep's cache root for the duration (inherited over fork)
-    prev_cache_env = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(cache.root)
-    observatory = None
-    try:
-        if live:
-            from ..observe.live import LiveObservatory  # mode-salt: none
+    with _sweep_services(cache, trace_dir, events, live=live,
+                         live_port=live_port, live_token=live_token,
+                         live_linger=live_linger):
+        t0 = time.monotonic()
+        events_start = len(getattr(events, "records", []))
+        events.emit("sweep-start", suite=suite)
 
-            observatory = LiveObservatory(
-                trace_dir, getattr(events, "path", None),
-                port=live_port, token=live_token,
-            ).start()
-            print(
-                f"# live observatory: {observatory.url}  "
-                f"(attach with `repro observe watch {observatory.address}`)",
-                file=sys.stderr,
-            )
-        summary = _run_sweep(
-            suite=suite, jobs=jobs, timeout=timeout, retries=retries,
-            chaos=chaos, chaos_seed=chaos_seed, render=render,
-            workers=list(workers) if workers else None, cache=cache,
-            events=events, bench_out=bench_out,
-            sanitize_impls=sanitize_impls, trace_dir=trace_dir,
-            pipeline=pipeline, order_seed=order_seed,
-        )
-        if observatory is not None:
-            # every writer is done: seal the feed, then give attached
-            # clients a moment to drain it before the socket goes away
-            observatory.finalize()
-            time.sleep(live_linger)
-        return summary
-    finally:
-        if observatory is not None:
-            observatory.shutdown()
-        if prev_cache_env is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = prev_cache_env
+        # wall profiles steer the local pool's LPT ordering (they live beside a
+        # local cache directory; remote rows carry no prediction).  Seeded from
+        # the committed BENCH_fleet.json so a fresh checkout knows its tail jobs.
+        profiles: Optional[ProfileStore] = None
+        if not workers:
+            seed_json = Path(bench_out) if bench_out is not None else Path(BENCH_OUT)
+            try:
+                profiles = open_store(Path(cache.root), seed_json)
+            except (OSError, AttributeError):
+                profiles = None  # advisory: a sweep must never fail on profiles
 
+        # -- collect: render keys + the specs the benches would run -------------
+        events.emit("phase-start", phase="collect")
+        plan = RenderPlan()
+        if suite in ("all", "bench"):
+            plan = collect_render_plan()
+        events.emit("phase-end", phase="collect")
+        collect_wall = time.monotonic() - t0
 
-def _run_sweep(
-    *,
-    suite: str,
-    jobs: Optional[int],
-    timeout: Optional[float],
-    retries: int,
-    chaos: int,
-    chaos_seed: int,
-    render: bool,
-    workers: Optional[Sequence[str]],
-    cache: ArtifactStore,
-    events: EventLog,
-    bench_out: Optional[Path],
-    sanitize_impls: Sequence[str],
-    trace_dir: Optional[Path],
-    pipeline: bool = True,
-    order_seed: Optional[int] = None,
-) -> dict:
-    if suite not in SWEEP_SUITES:
-        raise ValueError(f"unknown suite {suite!r}; have {SWEEP_SUITES}")
-    t0 = time.monotonic()
-    events_start = len(getattr(events, "records", []))
-    events.emit("sweep-start", suite=suite)
+        specs: list[RunSpec] = list(plan.specs)
+        if suite in ("all", "sanitize"):
+            specs.extend(sanitize_specs(sanitize_impls))
+        specs.extend(RunSpec.make(f"chaos-{i}", mode="chaos") for i in range(chaos))
 
-    # wall profiles steer the local pool's LPT ordering; remote lease order
-    # is the coordinator's (lanes + locality).  Seeded from the committed
-    # BENCH_fleet.json so even a fresh checkout knows its tail jobs.
-    profiles: Optional[ProfileStore] = None
-    if not workers:
-        seed_json = Path(bench_out) if bench_out is not None else Path(BENCH_OUT)
-        try:
-            profiles = open_store(Path(cache.root), seed_json)
-        except (OSError, AttributeError):
-            profiles = None  # advisory: a sweep must never fail on profiles
+        with (
+            recording(capacity=32768, mirror=trace_dir / "scheduler.jsonl")
+            if trace_dir is not None else contextlib.nullcontext()
+        ):
+            # -- one dependency-aware pool: experiments and renders together, on
+            # local forks or, with --workers, on coordinator-attached workers --
+            if workers:
+                from .remote.pool import RemotePool  # lazy: local sweeps stay lean
 
-    # -- collect: render keys + the specs the benches would run -------------
-    events.emit("phase-start", phase="collect")
-    plan = RenderPlan()
-    if suite in ("all", "bench"):
-        plan = collect_render_plan()
-    events.emit("phase-end", phase="collect")
-    collect_wall = time.monotonic() - t0
-
-    specs: list[RunSpec] = list(plan.specs)
-    if suite in ("all", "sanitize"):
-        specs.extend(sanitize_specs(sanitize_impls))
-    specs.extend(RunSpec.make(f"chaos-{i}", mode="chaos") for i in range(chaos))
-
-    with contextlib.ExitStack() as stack:
-        if trace_dir is not None:
-            stack.enter_context(
-                recording(capacity=32768, mirror=trace_dir / "scheduler.jsonl")
-            )
-
-        # -- warm + render: one dependency-aware pool (pipelined), or the
-        # old barrier phases (pipeline=False, or remote workers) ------------
-        t1 = time.monotonic()
-        # does a render phase follow?  if not, the warm pool is the last one
-        # and (remotely) must drain the workers itself
-        will_render = render and suite in ("all", "bench") and bool(plan.benches)
-        pipelined = bool(pipeline) and not workers and will_render
-        scheduler = _make_pool(
-            workers=workers, jobs=jobs, timeout=timeout, retries=retries,
-            cache=cache, events=events, trace_dir=trace_dir,
-            chaos_kills=chaos if workers else 0, chaos_seed=chaos_seed,
-            drain=not will_render or pipelined,
-            profiles=profiles, order_seed=order_seed,
-        )
-        if not pipelined:
-            events.emit("phase-start", phase="warm")
-        for spec in specs:
-            # defects and chaos jobs are cheap; let the long PC runs go first
-            priority = 1 if spec.mode != "tool" else 0
-            scheduler.submit(spec, priority=priority)
-        for entry in plan.benches:
-            # opaque bodies *are* their own experiment: warm them here so
-            # a re-sweep cache-hits them instead of re-running
-            if entry.opaque:
-                scheduler.submit(entry.spec, priority=0)
-            elif pipelined:
-                # the pipelining itself: the render is admitted the moment
-                # its consumed artifacts are all terminal, not at a barrier
-                scheduler.submit(entry.spec, priority=0, after=entry.consumes)
-        pool_mark = len(getattr(events, "records", []))
-        scheduler.run()
-
-        render_summary = {
-            "benches": len(plan.benches), "skipped": 0, "rendered": 0,
-            "failed": 0, "wall": 0.0, "speedup_vs_serial": None,
-            "failures": [], "per_bench": [],
-        }
-        render_outcomes: list = []
-        last_pool = scheduler
-        if pipelined:
-            # phase windows are overlapped now; reconstruct them from the
-            # pool's own event timestamps and emit the markers post-hoc
-            # (EventLog.emit takes explicit t), so the critical-path phase
-            # decomposition keeps working under admission interleaving
-            render_set = {entry.spec.digest for entry in plan.benches}
-            pool_records = events.records[pool_mark:]
-            terminal = ("completed", "failed", "cached-hit")
-            t_pool = [r["t"] for r in pool_records if r.get("event") == "pool-start"]
-            t_warm0 = t_pool[0] if t_pool else None
-            warm_ts = [
-                r["t"] for r in pool_records
-                if r.get("event") in terminal and r.get("digest") not in render_set
-            ]
-            render_start_ts = [
-                r["t"] for r in pool_records
-                if r.get("event") in ("started", "cached-hit")
-                and r.get("digest") in render_set
-            ]
-            render_end_ts = [
-                r["t"] for r in pool_records
-                if r.get("event") in terminal and r.get("digest") in render_set
-            ]
-            if t_warm0 is not None:
-                t_warm1 = max(warm_ts, default=t_warm0)
-                t_render0 = min(render_start_ts, default=t_warm1)
-                t_render1 = max(render_end_ts, default=t_render0)
-                events.emit("phase-start", phase="warm", t=t_warm0)
-                events.emit("phase-end", phase="warm", t=t_warm1)
-                events.emit("phase-start", phase="render", t=t_render0)
-                events.emit("phase-end", phase="render", t=t_render1)
-                warm_wall = t_warm1 - t_warm0
-                render_wall = t_render1 - t_render0
-            else:  # pragma: no cover - record-less event log
-                warm_wall = time.monotonic() - t1
-                render_wall = 0.0
-            render_summary, render_outcomes = _restore_renders(
-                plan, scheduler.outcomes, scheduler.results, render_wall
-            )
-        else:
-            events.emit("phase-end", phase="warm")
-            warm_wall = time.monotonic() - t1
-            # -- render: per-bench jobs, skipped on an unchanged render key -
-            if will_render:
-                events.emit("phase-start", phase="render")
-                render_summary, render_outcomes, last_pool = _render_phase(
-                    plan, workers=workers, jobs=jobs, timeout=timeout,
-                    retries=retries, cache=cache, events=events,
-                    trace_dir=trace_dir, profiles=profiles,
+                scheduler = RemotePool(
+                    workers, store=cache, timeout=timeout, retries=retries,
+                    events=events, chaos_kills=chaos, chaos_seed=chaos_seed,
+                    drain=True, trace_dir=trace_dir,
+                )
+            else:
+                scheduler = FleetScheduler(
+                    jobs=jobs, timeout=timeout, retries=retries, cache=cache,
+                    events=events, trace_dir=trace_dir, profiles=profiles,
                     order_seed=order_seed,
                 )
-                events.emit("phase-end", phase="render")
+            will_render = render and bool(plan.benches)
+            for spec in specs:
+                # defects and chaos jobs are cheap; let the long PC runs go first
+                priority = 1 if spec.mode != "tool" else 0
+                scheduler.submit(spec, priority=priority)
+            kinds: dict[str, str] = {}
+            for entry in plan.benches:
+                # opaque bodies *are* their own experiment: run them even without
+                # rendering, so a re-sweep cache-hits them instead of re-running
+                if entry.opaque or will_render:
+                    kinds[entry.spec.digest] = (
+                        "opaque-render" if entry.opaque else "render"
+                    )
+                    # admitted the moment its consumed artifacts are all terminal
+                    scheduler.submit(entry.spec, priority=0, after=entry.consumes)
+            pool_mark = len(events.records)
+            t1 = time.monotonic()
+            scheduler.run()
+            pool_wall = time.monotonic() - t1
 
-    if pipelined:
-        # warm accounting excludes the dependency-admitted renders (they
-        # have their own block) but keeps opaque bodies, matching where the
-        # barrier sweep ran them
-        opaque_set = {e.spec.digest for e in plan.benches if e.opaque}
-        outcomes = [
-            o for o in scheduler.outcomes.values()
-            if o.digest not in render_set or o.digest in opaque_set
-        ]
-    else:
-        outcomes = list(scheduler.outcomes.values())
-    executed_wall = sum(o.wall for o in outcomes if o.status == "completed")
-    speedup = (
-        round(executed_wall / warm_wall, 2)
-        if executed_wall and warm_wall > 0
-        else None
-    )
+            # warm and render overlap in one pool; reconstruct their windows
+            # from the pool's own event timestamps and emit the markers post-hoc
+            # (EventLog.emit takes explicit t) for the critical-path phase view
+            pool_records = events.records[pool_mark:]
+            t_pool = min(r["t"] for r in pool_records)
+            ends: dict[bool, list] = {False: [], True: []}  # keyed by is-render
+            render_starts = []
+            for r in pool_records:
+                is_render = r.get("digest") in kinds
+                if r["event"] in ("completed", "failed", "cached-hit"):
+                    ends[is_render].append(r["t"])
+                if is_render and r["event"] in ("started", "cached-hit"):
+                    render_starts.append(r["t"])
+            windows = {"warm": (t_pool, max(ends[False], default=t_pool))}
+            if will_render:
+                t_render = min(render_starts, default=windows["warm"][1])
+                windows["render"] = (t_render, max(ends[True], default=t_render))
+            for phase, (start, end) in windows.items():
+                events.emit("phase-start", phase=phase, t=start)
+                events.emit("phase-end", phase=phase, t=end)
+            render_summary = {
+                "benches": len(plan.benches), "skipped": 0, "rendered": 0,
+                "failed": 0, "wall": 0.0, "speedup_vs_serial": None,
+                "failures": [], "per_bench": [],
+            }
+            if will_render:
+                render_summary = _restore_renders(
+                    plan, scheduler.outcomes, scheduler.results,
+                    windows["render"][1] - windows["render"][0],
+                )
 
-    # remote sweeps report the coordinator-side view (per-worker job counts,
-    # steals/retries, store hit rate); the worker count observed there also
-    # feeds the swimlane/critical-path analysis in place of the fork count
-    remote_info = None
-    observed_workers = scheduler.jobs
-    if workers:
-        remote_info = last_pool.remote_summary()
-        observed_workers = len(remote_info.get("workers") or {}) or last_pool.jobs
-
-    # what actually bounded the sweep's wall clock (observe subsystem)
-    sweep_records = events.records[events_start:]
-    cpath = critical_path(sweep_records, workers=observed_workers)
-    scheduling = cpath.pop("scheduling", None)
-
-    if profiles is not None and profiles.dirty:
-        try:
-            profiles.save()
-        except OSError:  # pragma: no cover - read-only cache dir
-            pass
-
-    trace_summary = None
-    if trace_dir is not None:
-        mirrors = sorted(
-            p for p in trace_dir.glob("*.jsonl") if p.name != "trace.jsonl"
+        outcomes = sorted(scheduler.outcomes.values(), key=lambda o: (-o.wall, o.job))
+        executed_wall = sum(o.wall for o in outcomes if o.status == "completed")
+        speedup = (
+            round(executed_wall / pool_wall, 2)
+            if executed_wall and pool_wall > 0
+            else None
         )
-        merged = merge_events(mirrors)
-        write_jsonl(trace_dir / "trace.jsonl", merged)
-        write_chrome(trace_dir / "trace.json", merged)
-        trace_summary = {
-            "dir": str(trace_dir),
-            "events": len(merged),
-            "processes": len({e.get("pid") for e in merged}),
-            "jsonl": str(trace_dir / "trace.jsonl"),
-            "chrome": str(trace_dir / "trace.json"),
-        }
 
-    per_job = [
-        {
-            "phase": phase,
-            "digest": o.digest[:12],
-            "job": o.job,
-            "status": o.status,
-            "cached": o.cached,
-            "attempts": o.attempts,
-            "wall": round(o.wall, 4),
-            "error": o.error,
+        # remote sweeps report the coordinator-side view (per-worker job counts,
+        # steals/retries, store hit rate); the worker count observed there also
+        # feeds the swimlane/critical-path analysis in place of the fork count
+        remote_info = None
+        observed_workers = scheduler.jobs
+        if workers:
+            remote_info = scheduler.remote_summary()
+            observed_workers = len(remote_info.get("workers") or {}) or scheduler.jobs
+
+        # what actually bounded the sweep's wall clock (observe subsystem)
+        sweep_records = events.records[events_start:]
+        cpath = critical_path(sweep_records, workers=observed_workers)
+        scheduling = cpath.pop("scheduling", None)
+
+        if profiles is not None and profiles.dirty:
+            try:
+                profiles.save()
+            except OSError:  # pragma: no cover - read-only cache dir
+                pass
+
+        trace_summary = None
+        if trace_dir is not None:
+            mirrors = sorted(
+                p for p in trace_dir.glob("*.jsonl") if p.name != "trace.jsonl"
+            )
+            merged = merge_events(mirrors)
+            write_jsonl(trace_dir / "trace.jsonl", merged)
+            write_chrome(trace_dir / "trace.json", merged)
+            trace_summary = {
+                "dir": str(trace_dir),
+                "events": len(merged),
+                "processes": len({e.get("pid") for e in merged}),
+                "jsonl": str(trace_dir / "trace.jsonl"),
+                "chrome": str(trace_dir / "trace.json"),
+            }
+
+        per_job = [
+            {
+                "kind": kinds.get(o.digest, "experiment"),
+                "digest": o.digest[:12],
+                "job": o.job,
+                "status": o.status,
+                "cached": o.cached,
+                "attempts": o.attempts,
+                "wall": round(o.wall, 4),
+                "error": o.error,
+            }
+            for o in outcomes
+        ]
+        summary = {
+            # schema 5: one per_job row per digest with its "kind" (experiment,
+            # render, opaque-render), no "pipeline"; schema 4 added "scheduling"
+            # and "profiles", schema 3 "remote" for --workers sweeps
+            "schema": 5,
+            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "suite": suite,
+            "jobs": scheduler.requested_jobs,
+            # requested concurrency clamped to usable CPUs (the jobs are
+            # CPU-bound; oversubscribing only inflates per-job walls) -- or, on
+            # a remote sweep, the live workers observed at the coordinators
+            "workers": observed_workers,
+            "counts": scheduler.summary(),
+            "cache": cache.describe(),
+            "remote": remote_info,
+            "collect": {
+                "benches": len(plan.benches),
+                "specs": len(plan.specs),
+                "failed": len(plan.failures),
+                "failures": [list(f) for f in plan.failures],
+            },
+            "wall": {
+                "collect": round(collect_wall, 3),
+                "warm": round(windows["warm"][1] - windows["warm"][0], 3),
+                "render": render_summary["wall"],
+                "total": round(time.monotonic() - t0, 3),
+            },
+            # sum of per-job worker wall over the pool's wall clock: ~N on an
+            # idle N-core box, None on a warm cache (nothing executed)
+            "speedup_vs_serial": speedup,
+            # blocking job chain + worker idle fraction + per-phase decomposition
+            # (which phase bounds the sweep) -- repro.observe
+            "critical_path": cpath,
+            # how well the profile-guided schedule packed: prediction error,
+            # makespan vs the LPT lower bound, render admission lead time
+            "scheduling": scheduling,
+            "profiles": profiles.describe() if profiles is not None else None,
+            "trace": trace_summary,
+            "render": render_summary,
+            "per_job": per_job,
         }
-        for phase, rows in (("warm", outcomes), ("render", render_outcomes))
-        for o in sorted(rows, key=lambda o: (-o.wall, o.job))
-    ]
-    summary = {
-        # schema 4: + "scheduling" (prediction error, packing efficiency vs
-        # the LPT lower bound, render admission lead), "pipeline", and
-        # "profiles"; schema 3 added "remote" for --workers sweeps
-        "schema": 4,
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "suite": suite,
-        "pipeline": pipelined,
-        "jobs": scheduler.requested_jobs,
-        # requested concurrency clamped to usable CPUs (the jobs are
-        # CPU-bound; oversubscribing only inflates per-job walls) -- or, on
-        # a remote sweep, the live workers observed at the coordinators
-        "workers": observed_workers,
-        "counts": scheduler.summary(),
-        "cache": cache.describe(),
-        "remote": remote_info,
-        "collect": {
-            "benches": len(plan.benches),
-            "specs": len(plan.specs),
-            "failed": len(plan.failures),
-            "failures": [list(f) for f in plan.failures],
-        },
-        "wall": {
-            "collect": round(collect_wall, 3),
-            "warm": round(warm_wall, 3),
-            "render": render_summary["wall"],
-            "total": round(time.monotonic() - t0, 3),
-        },
-        # sum of per-job worker wall over the parallel phase's wall clock:
-        # ~N on an idle N-core box, ~1 on a warm cache (nothing executed)
-        "speedup_vs_serial": speedup,
-        # blocking job chain + worker idle fraction + per-phase decomposition
-        # (which phase bounds the sweep) -- repro.observe
-        "critical_path": cpath,
-        # how well the profile-guided schedule packed: prediction error,
-        # makespan vs the LPT lower bound, render admission lead time
-        "scheduling": scheduling,
-        "profiles": profiles.describe() if profiles is not None else None,
-        "trace": trace_summary,
-        "render": render_summary,
-        "per_job": per_job,
-    }
-    if bench_out is not None:
-        bench_out = Path(bench_out)
-        bench_out.parent.mkdir(parents=True, exist_ok=True)
-        bench_out.write_text(json.dumps(summary, indent=2, sort_keys=False) + "\n")
-    return summary
+        if bench_out is not None:
+            bench_out = Path(bench_out)
+            bench_out.parent.mkdir(parents=True, exist_ok=True)
+            bench_out.write_text(json.dumps(summary, indent=2, sort_keys=False) + "\n")
+        return summary

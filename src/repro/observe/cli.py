@@ -166,9 +166,9 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 def _last_sweep_records(records: list[dict]) -> list[dict]:
     """The records of the most recent sweep in an appended-forever log.
 
-    A sweep emits one ``sweep-start`` then one scheduler pool per phase
-    (warm, render), so the cut is at the last ``sweep-start``; older logs
-    without it fall back to the last ``pool-start``.
+    A sweep emits one ``sweep-start`` before its scheduler pool, so the
+    cut is at the last ``sweep-start``; older logs without it fall back to
+    the last ``pool-start``.
     """
     start = 0
     seen_sweep_start = False

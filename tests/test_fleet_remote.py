@@ -8,14 +8,18 @@ Three layers of test:
   puts staying idempotent; the stranded-``*.tmp``-file sweep regression.
 * **coordinator** -- the lease/heartbeat state machine driven with an
   injected fake clock: renewal, expiry -> steal, bounded worker loss ->
-  ``worker-lost`` failure, reported-failure retry/backoff, the
-  code-version handshake, and the deterministic chaos-kill schedule.
+  ``worker-lost`` failure, reported-failure retry/backoff, ``after``
+  admission, the code-version handshake, the deterministic chaos-kill
+  schedule, and 400 replies to malformed ``/jobs`` and ``/result`` input.
 * **end-to-end** -- real worker *processes* (fork) against an in-process
   coordinator + store: a two-worker sweep whose artifacts are
   byte-identical to the fork pool's, chaos SIGKILLing a live worker
   mid-lease with the job stolen and completed by the survivor, and
-  ``run_sweep(workers=...)`` over the synthetic bench suite matching a
-  local sweep object-for-object.
+  ``run_sweep(workers=...)`` over a synthetic producer/consumer bench
+  suite matching a serial local sweep object-for-object, with the
+  consumer admitted only once its producer is terminal; and a
+  two-coordinator pool holding consumers behind producers sharded to
+  the other coordinator.
 
 Workers in the chaos tests must be OS processes (the kill directive is a
 self-SIGKILL); everything else keeps servers in daemon threads.
@@ -39,6 +43,7 @@ from repro.fleet import (
     RunSpec,
     StoreIntegrityError,
     code_version,
+    collect_render_plan,
     failure_artifact,
     run_cached,
     to_bytes,
@@ -51,6 +56,7 @@ from repro.fleet.remote import (
     RemotePool,
     parse_endpoint,
 )
+from repro.fleet.remote.wire import request_json
 
 _CTX = multiprocessing.get_context("fork")
 
@@ -459,6 +465,78 @@ def test_drain_sends_idle_workers_home(pinned_version):
     assert coord.lease("w2", code_version())["shutdown"] is True
 
 
+def test_after_holds_consumer_until_producer_terminal(pinned_version):
+    coord = make_coordinator(FakeClock())
+    producer, consumer = make_specs(2)
+    rows = job_rows([producer, consumer])
+    rows[1]["after"] = [producer.digest, "ab" * 32]  # unknown: satisfied
+    coord.submit_jobs({"jobs": rows})
+    job = coord.lease("w1", code_version())["job"]
+    assert job["digest"] == producer.digest
+    assert coord.lease("w2", code_version())["job"] is None  # held back
+    coord.result(job["lease"], ok_artifact(producer))
+    assert [e["digest"] for e in events_of(coord, "admitted")] == [
+        consumer.digest
+    ]
+    assert coord.lease("w2", code_version())["job"]["digest"] == consumer.digest
+
+
+def _bad_batches():
+    (spec,) = make_specs(1)
+    (row,) = job_rows([spec])
+    return {
+        "missing-digest": {"jobs": [{"spec": spec.to_dict()}]},
+        "bad-priority": {"jobs": [{**row, "priority": "x"}]},
+        "bad-retries": {"jobs": [row], "retries": "abc"},
+        "jobs-not-a-list": {"jobs": "notalist"},
+        "after-not-a-list": {"jobs": [{**row, "after": spec.digest}]},
+        "after-not-hex": {"jobs": [{**row, "after": ["not-a-digest"]}]},
+        "after-empty-string": {"jobs": [{**row, "after": ""}]},
+        "missing-spec": {"jobs": [{"digest": spec.digest}]},
+        # a bad row after a good one: nothing in the batch is accepted
+        "mixed-batch": {"jobs": [row, {**row, "digest": "ab" * 32,
+                                       "priority": None}]},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_batches()))
+def test_malformed_job_batch_is_rejected_whole(pinned_version, case):
+    coord = FleetCoordinator(lease_timeout=5.0).start()
+    try:
+        status, body = request_json(
+            coord.address, "POST", "/jobs", _bad_batches()[case]
+        )
+        assert status == 400 and body["error"]
+        assert coord.status()["jobs"] == 0
+        status, health = request_json(coord.address, "GET", "/health")
+        assert status == 200 and health["pending"] == 0
+    finally:
+        coord.shutdown()
+
+
+def test_malformed_result_is_rejected_and_lease_survives(pinned_version):
+    coord = FleetCoordinator(lease_timeout=5.0).start()
+    try:
+        (spec,) = make_specs(1)
+        coord.submit_jobs({"jobs": job_rows([spec])})
+        job = coord.lease("w1", code_version())["job"]
+        for payload in ({"artifact": "not-an-object"},
+                        {"artifact": {"status": "failed", "error": "boom"}},
+                        {"artifact": ok_artifact(spec), "lease": ["x"]},
+                        {"artifact": ok_artifact(spec), "wall": "fast"},
+                        {"artifact": ok_artifact(spec), "trace": 7}):
+            status, body = request_json(
+                coord.address, "POST", "/result",
+                {"lease": job["lease"], **payload},
+            )
+            assert status == 400 and body["error"]
+        assert request_json(coord.address, "GET", "/health")[0] == 200
+        assert coord.result(job["lease"], ok_artifact(spec))["ok"]
+        assert coord.status()["completed"] == 1
+    finally:
+        coord.shutdown()
+
+
 # ------------------------------------------------------------- end to end
 
 
@@ -552,6 +630,68 @@ def test_two_workers_byte_identical_to_fork_pool(tmp_path, pinned_version):
         server.shutdown()
 
 
+def _slow_producer_stub(spec: RunSpec) -> dict:
+    time.sleep({"slowprod": 1.0, "prod": 0.2}.get(spec.program, 0.0))
+    return _stub_ok(spec)
+
+
+def _slow_producer_worker_entry(address: str, worker_id: str) -> None:
+    FleetWorker(
+        address, worker_id=worker_id, executor=_slow_producer_stub,
+        poll_interval=0.02, log=lambda m: None,
+    ).run()
+
+
+def test_consumers_wait_for_producers_on_other_coordinators(pinned_version):
+    """Two coordinators, one worker each.  ``consumer`` reads a fast
+    producer sharded beside it and a slow one sharded to the other
+    coordinator; ``tail`` reads ``consumer``.  Each must start only after
+    every producer it names has finished, wherever that producer ran."""
+    fast, slow, consumer, tail = (
+        RunSpec.make(name, mode="tool")
+        for name in ("prod", "slowprod", "consumer", "tail")
+    )
+    coords = [FleetCoordinator(lease_timeout=5.0).start() for _ in range(2)]
+    workers = []
+    try:
+        events = EventLog()
+        pool = RemotePool([c.address for c in coords], retries=0,
+                          events=events, drain=True, poll_interval=0.02)
+        pool.submit(fast)
+        pool.submit(slow)
+        pool.submit(consumer, after=(fast.digest, slow.digest))
+        pool.submit(tail, after=(consumer.digest,))
+        workers = [
+            _CTX.Process(target=_slow_producer_worker_entry,
+                         args=(c.address, f"w{i}"))
+            for i, c in enumerate(coords)
+        ]
+        for proc in workers:
+            proc.start()
+        results = pool.run()
+        for proc in workers:
+            proc.join(15)
+        assert pool.summary()["completed"] == 4
+        # the locality score put the slow producer on the other coordinator
+        assert [c.status()["jobs"] for c in coords] == [3, 1]
+        records = events.records
+        at = {(r["event"], r.get("digest")): i for i, r in enumerate(records)}
+        for producers, job in (((fast, slow), consumer), ((consumer,), tail)):
+            started = at[("started", job.digest)]
+            for producer in producers:
+                done = at[("completed", producer.digest)]
+                assert done < started
+                assert records[done]["t"] <= records[started]["t"]
+        for spec in (fast, slow, consumer, tail):
+            assert to_bytes(results[spec.digest]) == to_bytes(_stub_ok(spec))
+    finally:
+        for proc in workers:
+            if proc.is_alive():
+                proc.kill()
+        for coord in coords:
+            coord.shutdown()
+
+
 def test_chaos_kills_worker_job_stolen_and_completed(tmp_path, pinned_version):
     """The --chaos drill end-to-end: a real worker process is SIGKILLed
     mid-lease, the lease expires, the survivor steals the job, and the
@@ -611,22 +751,63 @@ def test_alpha(benchmark):
     common.emit("alpha", f"alpha report: {value}")
 """
 
+# a consumer bench: records the spec it reads and, at render time, loads
+# that artifact from the shared store (the render test suite's beta)
+BETA = """\
+import common
+from repro.fleet import CollectOnly, RunSpec, default_cache, run_cached
+
+SPEC = RunSpec.make("fake_prog", mode="tool", impl="lam", params={"n": 1})
+
+
+def test_beta(benchmark):
+    if common.FLEET_COLLECT is not None:
+        common.FLEET_COLLECT.append(SPEC)
+        raise CollectOnly("beta")
+    artifact = run_cached(SPEC, default_cache())
+    common.emit("beta", "beta consumed: " + artifact["result"]["value"])
+"""
+
+
+def fake_producer_artifact(spec: RunSpec) -> dict:
+    return {
+        "schema": 1,
+        "digest": spec.digest,
+        "spec": spec.to_dict(),
+        "status": "ok",
+        "error": None,
+        "result": {"value": "V1"},
+    }
+
+
+def _sweep_executor(spec: RunSpec) -> dict:
+    """Workers run beta's producer as a slow stub (there is no such
+    program) and everything else for real.  The delay leaves the other
+    worker idle while the producer runs: only ``after`` admission keeps it
+    from leasing beta's render early."""
+    from repro.fleet import execute_spec
+
+    if spec.program == "fake_prog":
+        time.sleep(1.0)
+        return fake_producer_artifact(spec)
+    return execute_spec(spec)
+
 
 @pytest.fixture
 def remote_bench_env(tmp_path, monkeypatch):
-    """A one-bench synthetic suite, env-isolated (same recipe as the
-    render determinism tests)."""
+    """A synthetic producer/consumer suite, env-isolated (same recipe as
+    the render determinism tests)."""
     bench = tmp_path / "benches"
     bench.mkdir()
     shutil.copy(REAL_COMMON, bench / "common.py")
     (bench / "bench_alpha.py").write_text(ALPHA)
+    (bench / "bench_beta.py").write_text(BETA)
     monkeypatch.setenv("REPRO_BENCH_DIR", str(bench))
     monkeypatch.setenv("REPRO_CODE_VERSION", "remote-sweep-test")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     code_version.cache_clear()
-    saved = {
-        name: sys.modules.pop(name, None) for name in ("common", "bench_alpha")
-    }
+    names = ("common", "bench_alpha", "bench_beta")
+    saved = {name: sys.modules.pop(name, None) for name in names}
     yield bench
     code_version.cache_clear()
     for name, module in saved.items():
@@ -636,10 +817,9 @@ def remote_bench_env(tmp_path, monkeypatch):
             sys.modules.pop(name, None)
 
 
-def _sweep_worker_entry(address: str) -> None:
-    # default executor: the real execute_spec, so render jobs run the bench
-    FleetWorker(address, worker_id="sweep-w0", poll_interval=0.02,
-                log=lambda m: None).run()
+def _sweep_worker_entry(address: str, worker_id: str) -> None:
+    FleetWorker(address, worker_id=worker_id, executor=_sweep_executor,
+                poll_interval=0.02, log=lambda m: None).run()
 
 
 def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
@@ -647,33 +827,56 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
 
     bench = remote_bench_env
     reports = bench / "reports"
+    producer = RunSpec.make("fake_prog", mode="tool", impl="lam",
+                            params={"n": 1})
 
     # the oracle: a serial local-fork sweep into a local cache directory
+    # (the producer is not a real program: seed its artifact)
     local_cache = ResultCache(tmp_path / "cache-local")
+    local_cache.put(producer.digest, to_bytes(fake_producer_artifact(producer)))
     local = run_sweep(suite="bench", jobs=1, retries=0, cache=local_cache,
                       bench_out=None)
     assert local["counts"]["failed"] == 0 and local["remote"] is None
     local_reports = {p.name: p.read_bytes() for p in reports.glob("*.txt")}
+    assert set(local_reports) == {"alpha.txt", "beta.txt"}
     shutil.rmtree(reports)
 
     server = ArtifactStoreServer(tmp_path / "cache-remote").start()
     coord = FleetCoordinator(store_url=server.url, lease_timeout=5.0).start()
-    worker = _CTX.Process(target=_sweep_worker_entry, args=(coord.address,))
-    worker.start()
+    workers = [
+        _CTX.Process(target=_sweep_worker_entry,
+                     args=(coord.address, f"sweep-w{i}"))
+        for i in range(2)
+    ]
+    for proc in workers:
+        proc.start()
     try:
         store = HTTPStore(server.url)
+        events = EventLog()
         summary = run_sweep(
             suite="bench", retries=0, workers=[coord.address], cache=store,
-            bench_out=tmp_path / "BENCH_remote.json",
+            events=events, bench_out=tmp_path / "BENCH_remote.json",
         )
-        worker.join(20)
-        assert summary["schema"] == 4
+        for proc in workers:
+            proc.join(20)
+        assert summary["schema"] == 5
         assert summary["counts"]["failed"] == 0
-        assert summary["counts"]["completed"] == local["counts"]["completed"]
+        # the remote sweep executed what the oracle executed or had seeded
+        assert summary["counts"]["completed"] == (
+            local["counts"]["completed"] + local["counts"]["cached"]
+        )
         remote = summary["remote"]
-        assert list(remote["workers"]) == ["sweep-w0"]
-        assert remote["workers"]["sweep-w0"]["jobs"] >= 1
+        assert sorted(remote["workers"]) == ["sweep-w0", "sweep-w1"]
         assert remote["store"]["puts"] >= 1
+
+        # the consumer was admitted only once its producer was terminal
+        beta = next(e.spec.digest for e in collect_render_plan().benches
+                    if e.target == "bench_beta::test_beta")
+        order = [(r["event"], r.get("digest")) for r in events.records]
+        produced = order.index(("completed", producer.digest))
+        started = order.index(("started", beta))
+        assert produced < started
+        assert events.records[produced]["t"] <= events.records[started]["t"]
 
         # every artifact byte-identical to the local sweep's, file for file
         local_digests = set(local_cache.digests())
@@ -701,7 +904,8 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
         warm_reports = {p.name: p.read_bytes() for p in reports.glob("*.txt")}
         assert warm_reports == local_reports
     finally:
-        if worker.is_alive():
-            worker.kill()
+        for proc in workers:
+            if proc.is_alive():
+                proc.kill()
         coord.shutdown()
         server.shutdown()

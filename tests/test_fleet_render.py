@@ -203,7 +203,7 @@ def test_reports_byte_identical_serial_parallel_and_cached(bench_env):
     shutil.rmtree(bench_env / "reports")
 
     # cold parallel render through the scheduler: both benches execute once
-    # (the pipelined pool runs opaque alpha and dependency-admitted beta)
+    # (the one pool runs opaque alpha and dependency-admitted beta)
     cold = sweep()
     assert cold["render"]["benches"] == 2
     assert cold["render"]["skipped"] == 0
@@ -223,10 +223,11 @@ def test_reports_byte_identical_serial_parallel_and_cached(bench_env):
 def test_render_jobs_go_through_the_scheduler(bench_env):
     warm_beta_artifact()
     summary = sweep()
-    render_rows = [row for row in summary["per_job"] if row["phase"] == "render"]
-    assert {row["job"] for row in render_rows} == {
-        "render:bench_alpha::test_alpha/bench",
-        "render:bench_beta::test_beta/bench",
+    kinds = {row["job"]: row["kind"] for row in summary["per_job"]}
+    assert kinds == {
+        "render:bench_alpha::test_alpha/bench": "opaque-render",
+        "render:bench_beta::test_beta/bench": "render",
+        "tool:fake_prog/lam": "experiment",
     }
     per_bench = summary["render"]["per_bench"]
     assert {row["bench"] for row in per_bench} == {
@@ -254,23 +255,18 @@ def test_editing_one_bench_rerenders_only_that_bench(bench_env):
 
 
 def test_editing_opaque_bench_rewarms_only_that_bench(bench_env):
-    """An edited opaque body re-executes once in the shared pool (it is
-    accounted in both the warm rows and the render summary) and nothing
-    else re-runs."""
+    """An edited opaque body re-executes once in the shared pool (one
+    per_job row, plus its render-summary row) and nothing else re-runs."""
     warm_beta_artifact()
     sweep()
     (bench_env / "bench_alpha.py").write_text(ALPHA.replace("alpha-v1", "alpha-v2"))
     summary = sweep()
     assert summary["render"]["rendered"] == 1
     assert summary["render"]["skipped"] == 1
-    warm_render = [
-        row for row in summary["per_job"]
-        if row["phase"] == "warm" and row["job"].startswith("render:")
-        and row["status"] == "completed"
+    executed = [
+        row["job"] for row in summary["per_job"] if row["status"] == "completed"
     ]
-    assert [row["job"] for row in warm_render] == [
-        "render:bench_alpha::test_alpha/bench"
-    ]
+    assert executed == ["render:bench_alpha::test_alpha/bench"]
     assert b"alpha-v2" in read_reports(bench_env)["alpha.txt"]
 
 
@@ -283,10 +279,9 @@ def test_editing_common_invalidates_every_bench(bench_env):
     assert summary["render"]["rendered"] == 2  # both render keys moved
     assert summary["render"]["skipped"] == 0
     assert summary["render"]["benches"] == 2
-    warm_rows = {
-        row["job"]: row for row in summary["per_job"] if row["phase"] == "warm"
-    }
-    assert warm_rows["render:bench_alpha::test_alpha/bench"]["status"] == "completed"
+    rows = {row["job"]: row for row in summary["per_job"]}
+    assert rows["render:bench_alpha::test_alpha/bench"]["kind"] == "opaque-render"
+    assert rows["render:bench_alpha::test_alpha/bench"]["status"] == "completed"
 
 
 def test_changed_consumed_artifact_invalidates_consumer_only(bench_env, monkeypatch):
@@ -304,7 +299,7 @@ def test_changed_consumed_artifact_invalidates_consumer_only(bench_env, monkeypa
     assert b"beta consumed: V2" in read_reports(bench_env)["beta.txt"]
 
 
-# ----------------------------------------------------- pipelined scheduling
+# -------------------------------------------------- dependency-pipelined pool
 
 
 def cache_snapshot() -> dict[str, bytes]:
@@ -321,22 +316,35 @@ def fresh_cache_sweep(bench, tmp_path, monkeypatch, tag, **kwargs) -> dict:
     return sweep(**kwargs)
 
 
-def test_pipelined_schedule_matches_barrier_oracle(
+def test_pipelined_schedule_matches_serial_oracle(
     bench_env, tmp_path, monkeypatch
 ):
     """The dependency-pipelined schedule must be a pure reordering: every
-    cached artifact and every report byte-identical to the barrier-phased
-    plan it replaced."""
+    cached artifact and every report byte-identical to a serial
+    (``jobs=1``) sweep's."""
     snapshots = {}
-    for tag, pipeline in (("barrier", False), ("pipelined", True)):
+    for tag, jobs in (("serial", 1), ("pipelined", 2)):
         summary = fresh_cache_sweep(
-            bench_env, tmp_path, monkeypatch, tag, pipeline=pipeline
+            bench_env, tmp_path, monkeypatch, tag, jobs=jobs
         )
-        assert summary["pipeline"] is pipeline
         assert summary["render"]["failed"] == 0
         assert summary["counts"]["failed"] == 0
         snapshots[tag] = (read_reports(bench_env), cache_snapshot())
-    assert snapshots["pipelined"] == snapshots["barrier"]
+    assert snapshots["pipelined"] == snapshots["serial"]
+
+
+def test_per_job_has_one_row_per_digest_summing_to_worker_wall(bench_env):
+    """Each digest is one per_job row, so summed per-job wall is the pool's
+    worker wall -- an opaque render is not counted twice."""
+    warm_beta_artifact()
+    summary = sweep(bench_out=None)
+    rows = summary["per_job"]
+    assert len({row["digest"] for row in rows}) == len(rows)
+    assert len(rows) == summary["counts"]["specs"]
+    assert sum(row["wall"] for row in rows) == pytest.approx(
+        summary["counts"]["worker_wall"], abs=1e-4 * len(rows)
+    )
+    assert sum(row["kind"] == "opaque-render" for row in rows) == 1
 
 
 def test_adversarial_admission_order_is_byte_deterministic(
