@@ -73,6 +73,9 @@ class Daemon:
         #: clear to fall back to the pair-major scan
         self.batched_sampling = True
         self._sample_plan: Optional[list] = None
+        #: the detection snippets, shared by every attached process: their
+        #: builtins are looked up in the executing process
+        self._detection = _detection_snippets()
         frontend.add_daemon(self)
 
     # ------------------------------------------------------------------ attach
@@ -103,13 +106,17 @@ class Daemon:
 
         proc.exit_hooks.append(on_exit)
 
-        # Code hierarchy: modules and functions from the symbol table.
-        for fn in proc.image.app_functions():
-            self.frontend.hierarchy.add_function(fn.module.name, fn.name)
-        # MPI entry points are interesting refinement targets too.
-        for fn in proc.image.functions():
-            if "mpi" in fn.tags:
-                self.frontend.hierarchy.add_function(fn.module.name, fn.name)
+        # Code hierarchy: modules and functions from the symbol table; MPI
+        # entry points are interesting refinement targets too.  Read from
+        # the symbol table, so no library function is instantiated here.
+        table = proc.image.symbol_table()
+        add_code = self.frontend.add_code
+        for module, function, system, _ in table:
+            if not system:
+                add_code(module, function)
+        for module, function, _, tags in table:
+            if "mpi" in tags:
+                add_code(module, function)
         self.frontend.report_new_process(proc)
 
         # instrumentation-runtime builtins
@@ -143,34 +150,8 @@ class Daemon:
     def _install_detection(self, mutator: Mutator) -> None:
         """Window discovery/retirement and naming hooks (Sections 4.2.1/4.2.3)."""
         handle = mutator.handle(label="detection")
-
-        def hook(builtin: str, *args) -> Snippet:
-            return Snippet([ExprStmt(BuiltinCall(builtin, args))], label=f"detect:{builtin}")
-
-        mutator.insert_if_present(
-            handle, "MPI_Win_create", "return",
-            hook("DYNINSTReportNewWindow", ReturnValue()),
-        )
-        mutator.insert_if_present(
-            handle, "MPI_Win_free", "entry",
-            hook("DYNINSTReportWindowFreed", Arg(0)),
-        )
-        mutator.insert_if_present(
-            handle, "MPI_Win_set_name", "return",
-            hook("DYNINSTReportName", Arg(0), Arg(1)),
-        )
-        mutator.insert_if_present(
-            handle, "MPI_Comm_set_name", "return",
-            hook("DYNINSTReportName", Arg(0), Arg(1)),
-        )
-        # message-tag discovery: one resource per (communicator, tag) seen
-        for fname in ("MPI_Send", "MPI_Isend"):
-            mutator.insert_if_present(
-                handle, fname, "entry", hook("DYNINSTReportTag", Arg(5), Arg(4))
-            )
-        mutator.insert_if_present(
-            handle, "MPI_Sendrecv", "entry", hook("DYNINSTReportTag", Arg(10), Arg(4))
-        )
+        for function, where, snippet in self._detection:
+            mutator.insert_if_present(handle, function, where, snippet)
 
     # --------------------------------------------------------------- instrument
 
@@ -312,3 +293,22 @@ class Daemon:
                     self._live.remove(proc)
             self._exited_pending.clear()
             self.invalidate_sample_plan()
+
+
+def _detection_snippets() -> tuple[tuple[str, str, Snippet], ...]:
+    """``(function, point, snippet)`` for every detection hook, in insertion
+    order."""
+
+    def hook(builtin: str, *args) -> Snippet:
+        return Snippet([ExprStmt(BuiltinCall(builtin, args))], label=f"detect:{builtin}")
+
+    return (
+        ("MPI_Win_create", "return", hook("DYNINSTReportNewWindow", ReturnValue())),
+        ("MPI_Win_free", "entry", hook("DYNINSTReportWindowFreed", Arg(0))),
+        ("MPI_Win_set_name", "return", hook("DYNINSTReportName", Arg(0), Arg(1))),
+        ("MPI_Comm_set_name", "return", hook("DYNINSTReportName", Arg(0), Arg(1))),
+        # message-tag discovery: one resource per (communicator, tag) seen
+        ("MPI_Send", "entry", hook("DYNINSTReportTag", Arg(5), Arg(4))),
+        ("MPI_Isend", "entry", hook("DYNINSTReportTag", Arg(5), Arg(4))),
+        ("MPI_Sendrecv", "entry", hook("DYNINSTReportTag", Arg(10), Arg(4))),
+    )

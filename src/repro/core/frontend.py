@@ -194,6 +194,8 @@ class Frontend:
         #: a lookup is already in (daemon, attach) order
         self._procs_by_path: dict[str, list[Any]] = {}
         self._owner: dict[int, "Daemon"] = {}  # id(proc) -> owning daemon
+        #: (module, function) pairs already in the Code hierarchy
+        self._code: set[tuple[str, str]] = set()
         self.enabled: dict[tuple[str, Focus], MetricFocusData] = {}
         self._seen_tags: set[tuple[int, int]] = set()
         self._window_uids: dict[int, str] = {}  # id(win) -> "N-M"
@@ -226,6 +228,14 @@ class Frontend:
         return list(self._procs_by_path.get(component, ()))
 
     # -- resource updates (daemon -> front end protocol) -----------------------------
+
+    def add_code(self, module: str, function: str) -> None:
+        """Put a function in the Code hierarchy, once per (module, function)
+        pair however many processes report it."""
+        key = (module, function)
+        if key not in self._code:
+            self._code.add(key)
+            self.hierarchy.add_function(module, function)
 
     def report_new_process(self, proc: Any) -> Resource:
         return self.hierarchy.add_process(proc.node.name, proc.pid, obj=proc)

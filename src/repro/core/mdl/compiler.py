@@ -11,11 +11,13 @@ instrumentation in Paradyn) performs:
    constraints of Figure 2 -- and installation of their flag-maintenance
    snippets (prepended, so they execute before metric snippets at shared
    points);
-3. compilation of each ``foreach func in <set>`` request into snippet IR,
-   with ``constrained`` requests guarded by the constraint flags;
-4. insertion at function entry/return points, weak-symbol aware and
-   de-duplicated (an MPICH image resolves both ``MPI_Send`` and
-   ``PMPI_Send`` to one function -- it must be instrumented once).
+3. compilation of each ``foreach func in <set>`` request into ONE
+   snippet, with ``constrained`` requests guarded by the constraint flags;
+4. insertion of that snippet at the entry/return point of every function
+   in the set, weak-symbol aware and de-duplicated (an MPICH image
+   resolves both ``MPI_Send`` and ``PMPI_Send`` to one function -- it must
+   be instrumented once).  Snippet closures read the process from their
+   arguments, so one compiled snippet serves the whole set.
 
 The ``/Machine`` focus component is structural: daemons only instantiate
 pairs on processes inside it, so no snippets are needed.
@@ -408,12 +410,14 @@ def instantiate_metric(
             )
             for request in block.requests:
                 statements = compiler.compile_block(request.statements)
+                if not functions:
+                    continue
+                snippet = Snippet(
+                    statements,
+                    label=f"{constraint_def.ident}@{block.funcset}.{request.where}",
+                    owner=instance,
+                )
                 for fn in functions:
-                    snippet = Snippet(
-                        statements,
-                        label=f"{constraint_def.ident}@{fn.name}.{request.where}",
-                        owner=instance,
-                    )
                     mutator.insert(handle, fn, request.where, snippet, order="prepend")
 
     # 3. metric snippets (guarded when 'constrained')
@@ -422,13 +426,14 @@ def instantiate_metric(
         functions = library.resolve_funcset(block.funcset, image, constraint_target=code_target)
         for request in block.requests:
             statements = compiler.compile_block(request.statements)
-            snippet_guards = tuple(guards) if request.constrained else ()
+            if not functions:
+                continue
+            snippet = Snippet(
+                statements,
+                guards=tuple(guards) if request.constrained else (),
+                label=f"{metric_name}@{block.funcset}.{request.where}",
+                owner=instance,
+            )
             for fn in functions:
-                snippet = Snippet(
-                    statements,
-                    guards=snippet_guards,
-                    label=f"{metric_name}@{fn.name}.{request.where}",
-                    owner=instance,
-                )
                 mutator.insert(handle, fn, request.where, snippet, order=request.order)
     return instance

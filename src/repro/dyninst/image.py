@@ -14,6 +14,18 @@ paper:
   names to catch either (the Paradyn 4.0 bug the paper fixes).
 * **Per-process instrumentation** (one Image instance per process, as
   paradynd instruments each mutatee separately).
+
+Library images are *lazy*.  :meth:`Image.link_library` links a shared,
+fully built template by reference: the image's symbol table and module
+dictionaries start as copies of the template's, holding the template's own
+``FunctionDef`` objects as placeholders.  The first lookup that returns a
+library function replaces its placeholder with this image's own
+``FunctionDef`` (fresh instrumentation points, shared body and tags), in
+place, so dictionary order -- and with it every enumeration -- is exactly
+that of an image filled eagerly through :meth:`Image.add_function`.  A rank
+therefore holds only the library functions it resolved; whole-image views
+(:meth:`Image.functions`, :attr:`Image.modules`) instantiate everything
+first.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ class FunctionDef:
         self.tags = frozenset(tags)
         # instrumentation-point lists are created on first insert: most
         # functions in most processes are never instrumented, and at
-        # thousands of ranks the eager pair of empty lists per cloned
+        # thousands of ranks the eager pair of empty lists per
         # FunctionDef is measurable launch cost
         self._entry: Optional[list[Snippet]] = None
         self._exit: Optional[list[Snippet]] = None
@@ -133,20 +145,23 @@ class Image:
 
     def __init__(self, name: str = "a.out") -> None:
         self.name = name
-        self.modules: dict[str, Module] = {}
+        self._modules: dict[str, Module] = {}
         self._symbols: dict[str, FunctionDef] = {}
         self._weak_aliases: dict[str, str] = {}
         #: bumped on every symbol-table change; processes key their
         #: name-resolution caches on it (see SimProcess.call)
         self.version = 0
+        #: the linked library template while some of its functions still
+        #: stand as placeholders in this image (see the module docstring)
+        self._library: Optional["Image"] = None
 
     # construction ------------------------------------------------------------
 
     def module(self, name: str, *, system: bool = False) -> Module:
-        mod = self.modules.get(name)
+        mod = self._modules.get(name)
         if mod is None:
             mod = Module(name=name, system=system)
-            self.modules[name] = mod
+            self._modules[name] = mod
         return mod
 
     def add_function(
@@ -170,31 +185,58 @@ class Image:
         self.version += 1
         return fn
 
-    def clone_library(self, template: "Image") -> None:
-        """Copy every module of ``template`` into this image.
+    def link_library(self, template: "Image") -> None:
+        """Link every module of ``template`` into this empty image, by
+        reference.
 
-        Function *definitions* are fresh per image (instrumentation points
-        are per-process state, as paradynd instruments each mutatee
-        separately) but share the template's bodies and tag sets.  One
-        bulk version bump replaces the per-symbol bumps of repeated
-        :meth:`add_function` calls -- at thousands of ranks, rebuilding an
-        identical MPI library image per process dominates launch time.
+        ``template`` is a complete image shared by every process of a
+        personality and must not change afterwards.  Its functions become
+        this image's own ``FunctionDef`` objects (instrumentation points are
+        per-process state, as paradynd instruments each mutatee separately)
+        only when first looked up; until then the template's stand in as
+        placeholders.  One version bump covers the whole link.
         """
-        symbols = self._symbols
-        for tmod in template.modules.values():
-            mod = self.module(tmod.name, system=tmod.system)
-            functions = mod.functions
-            for name, fn in tmod.functions.items():
-                if name in symbols:
-                    raise ImageError(f"duplicate strong symbol {name!r}")
-                clone = FunctionDef(name, mod, fn.body, tags=fn.tags)
-                functions[name] = clone
-                symbols[name] = clone
-                self._weak_aliases.pop(name, None)
-        for alias, target in template._weak_aliases.items():
-            if alias not in symbols:
-                self._weak_aliases[alias] = target
+        if self._modules or self._symbols or self._weak_aliases:
+            raise ImageError(f"image {self.name!r}: link the library before anything else")
+        self._modules = {
+            name: Module(name, tmod.system, dict(tmod.functions))
+            for name, tmod in template._modules.items()
+        }
+        self._symbols = dict(template._symbols)
+        self._weak_aliases = dict(template._weak_aliases)
+        self._library = template
         self.version += 1
+
+    def _own(self, name: str, fn: FunctionDef) -> FunctionDef:
+        """``fn`` if it is this image's; for a library placeholder, this
+        image's own instance of that function, created once and put in the
+        placeholder's place in the symbol table and its module."""
+        library = self._library
+        if library is None or library._symbols.get(name) is not fn:
+            return fn
+        mod = self._modules[fn.module.name]
+        mine = FunctionDef(name, mod, fn.body, tags=fn.tags)
+        if mod.functions.get(name) is fn:
+            mod.functions[name] = mine
+        if self._symbols.get(name) is fn:
+            self._symbols[name] = mine
+        return mine
+
+    def _own_all(self) -> None:
+        """Instantiate every remaining library placeholder."""
+        if self._library is None:
+            return
+        own = self._own
+        for mod in self._modules.values():
+            for name, fn in list(mod.functions.items()):
+                own(name, fn)
+        self._library = None
+
+    @property
+    def modules(self) -> dict[str, Module]:
+        """Module name -> :class:`Module`, every function instantiated."""
+        self._own_all()
+        return self._modules
 
     def interpose(
         self,
@@ -234,12 +276,15 @@ class Image:
     def resolve(self, name: str) -> FunctionDef:
         """Resolve a call by name, following weak aliases."""
         fn = self._symbols.get(name)
-        if fn is not None:
-            return fn
-        target = self._weak_aliases.get(name)
-        if target is not None:
-            return self._symbols[target]
-        raise ImageError(f"undefined symbol {name!r} in image {self.name!r}")
+        if fn is None:
+            target = self._weak_aliases.get(name)
+            if target is None:
+                raise ImageError(f"undefined symbol {name!r} in image {self.name!r}")
+            name = target
+            fn = self._symbols[target]
+        if self._library is not None:
+            fn = self._own(name, fn)
+        return fn
 
     def lookup(self, name: str) -> Optional[FunctionDef]:
         """Like :meth:`resolve` but returns None for undefined symbols."""
@@ -256,20 +301,37 @@ class Image:
         definitions that only name ``MPI_Send`` find nothing -- the
         Paradyn 4.0 gap Section 4.1.1 of the paper fixes by adding the
         PMPI names to the definitions."""
-        return self._symbols.get(name)
+        fn = self._symbols.get(name)
+        if fn is not None and self._library is not None:
+            fn = self._own(name, fn)
+        return fn
 
     def defines(self, name: str) -> bool:
         return name in self._symbols or name in self._weak_aliases
 
     def functions(self) -> Iterable[FunctionDef]:
+        self._own_all()
         return self._symbols.values()
 
     def functions_tagged(self, tag: str) -> list[FunctionDef]:
-        return [fn for fn in self._symbols.values() if tag in fn.tags]
+        own = self._own
+        return [own(name, fn) for name, fn in self._symbols.items() if tag in fn.tags]
 
     def app_functions(self) -> list[FunctionDef]:
         """Functions in non-system modules (the Code hierarchy's contents)."""
-        return [fn for fn in self._symbols.values() if not fn.module.system]
+        own = self._own
+        return [
+            own(name, fn) for name, fn in self._symbols.items() if not fn.module.system
+        ]
+
+    def symbol_table(self) -> list[tuple[str, str, bool, frozenset[str]]]:
+        """``(module, function, system, tags)`` of every function symbol, in
+        symbol order -- what a tool's symbol-table scan reads.  Instantiates
+        no library function."""
+        return [
+            (fn.module.name, name, fn.module.system, fn.tags)
+            for name, fn in self._symbols.items()
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Image {self.name} symbols={len(self._symbols)}>"

@@ -19,8 +19,9 @@ through progressively coarser evidence:
 4. ``None`` -- the scheduler keeps plain insertion order.
 
 A missing, corrupt, or wrong-schema file degrades to an empty store
-(prediction returns ``None`` everywhere); profiles are advisory and must
-never fail a sweep.  The store can also seed itself from a committed
+(prediction returns ``None`` everywhere), and so does one holding a
+non-finite wall, which would poison the LPT ordering; profiles are
+advisory and must never fail a sweep.  The store can also seed itself from a committed
 ``BENCH_fleet.json`` ``per_job`` table (schema 3 to 5), so the very
 first profile-guided sweep on a fresh checkout already knows the 21s
 tail job is the longest.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import statistics
 from pathlib import Path
@@ -51,6 +53,14 @@ EMA_ALPHA = 0.5
 def family_key(spec: RunSpec) -> str:
     """Identity of the *work*, stable across source edits (no code salt)."""
     return hashlib.sha256(canonical_json(spec.to_dict()).encode()).hexdigest()[:16]
+
+
+def _finite(value: Any) -> float:
+    """``value`` as a finite float; ValueError for NaN and infinities."""
+    wall = float(value)
+    if not math.isfinite(wall):
+        raise ValueError(f"non-finite wall {value!r}")
+    return wall
 
 
 def _label_group(label: str) -> str:
@@ -81,17 +91,17 @@ class ProfileStore:
             jobs = data.get("jobs")
             if isinstance(jobs, dict):
                 for key, row in jobs.items():
-                    wall = float(row["wall"])
                     self.jobs[str(key)] = {
                         "label": str(row.get("label", "")),
-                        "wall": wall,
+                        "wall": _finite(row["wall"]),
                         "n": int(row.get("n", 1)),
                     }
             seeds = data.get("seeds")
             if isinstance(seeds, dict):
                 for label, wall in seeds.items():
-                    self.seeds[str(label)] = float(wall)
-        except (OSError, ValueError, TypeError, KeyError):
+                    self.seeds[str(label)] = _finite(wall)
+        except (OSError, ValueError, TypeError, KeyError, AttributeError,
+                OverflowError, RecursionError):
             # corrupt or unreadable profiles are advisory data lost, not an
             # error: the scheduler just falls back to insertion order
             self.jobs = {}

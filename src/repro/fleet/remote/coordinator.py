@@ -51,7 +51,7 @@ from typing import Any, Optional
 from ..execute import failure_artifact  # noqa: F401  (re-exported for workers)
 from ..queue import DONE, LANES, LEASED, PENDING, JobQueue
 from ..spec import RunSpec, code_version
-from .wire import BackgroundServer, JsonRequestHandler
+from .wire import BackgroundServer, BadRequest, JsonRequestHandler
 
 __all__ = ["FleetCoordinator", "DEFAULT_LEASE_TIMEOUT"]
 
@@ -547,9 +547,10 @@ class _CoordinatorHandler(JsonRequestHandler):
     def do_POST(self) -> None:
         if not self._authorized():
             return
-        payload = self.read_json()
         try:
-            self._post(payload)
+            self._post(self.read_json())
+        except BadRequest as exc:
+            self.reject(exc)
         except ValueError as exc:
             self.send_json(400, {"error": str(exc)})
 

@@ -34,7 +34,14 @@ from ..cache import (
     StoreIntegrityError,
     content_sha256,
 )
-from .wire import BackgroundServer, JsonRequestHandler, WireError, request, request_json
+from .wire import (
+    BackgroundServer,
+    BadRequest,
+    JsonRequestHandler,
+    WireError,
+    request,
+    request_json,
+)
 
 __all__ = ["HTTPStore", "ArtifactStoreServer", "CHECKSUM_HEADER"]
 
@@ -103,7 +110,13 @@ class _StoreHandler(JsonRequestHandler):
         digest = self._digest("/artifacts/")
         if digest is None:
             return
-        data = self.read_body()
+        try:
+            data = self.read_body()
+            if not data:
+                raise BadRequest(400, "empty artifact upload")
+        except BadRequest as exc:
+            self.reject(exc)
+            return
         claimed = self.headers.get(CHECKSUM_HEADER)
         if claimed and claimed != content_sha256(data):
             # a truncated or garbled upload must never be renamed into place

@@ -23,6 +23,7 @@ from urllib.parse import urlparse
 
 __all__ = [
     "WireError",
+    "BadRequest",
     "Endpoint",
     "parse_endpoint",
     "request",
@@ -51,6 +52,15 @@ def default_token() -> Optional[str]:
 
 class WireError(ConnectionError):
     """A request that could not complete (refused, reset, timed out)."""
+
+
+class BadRequest(ValueError):
+    """Malformed request input, answered with ``status`` (a 4xx) rather
+    than a dropped connection."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class Endpoint:
@@ -190,20 +200,42 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         return False
 
     def read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0 or length > MAX_BODY:
+        """The request body, ``b""`` when there is none.  Raises
+        :class:`BadRequest` for a non-integer or negative
+        ``Content-Length`` (400) and for one over :data:`MAX_BODY` (413)."""
+        header = self.headers.get("Content-Length")
+        if not header:
             return b""
-        return self.rfile.read(length)
+        try:
+            length = int(header)
+        except ValueError:
+            raise BadRequest(400, f"malformed Content-Length {header!r}") from None
+        if length < 0:
+            raise BadRequest(400, f"negative Content-Length {length}")
+        if length > MAX_BODY:
+            raise BadRequest(413, f"body of {length} bytes exceeds {MAX_BODY}")
+        return self.rfile.read(length) if length else b""
 
     def read_json(self) -> dict:
+        """The body as a JSON object; a missing or empty body reads as
+        ``{}``.  Raises :class:`BadRequest` (400) for anything else that is
+        not a JSON object, besides the :meth:`read_body` cases."""
         data = self.read_body()
         if not data:
             return {}
         try:
             parsed = json.loads(data.decode())
         except (ValueError, UnicodeDecodeError):
-            return {}
-        return parsed if isinstance(parsed, dict) else {}
+            raise BadRequest(400, "body is not JSON") from None
+        if not isinstance(parsed, dict):
+            raise BadRequest(400, "body is not a JSON object")
+        return parsed
+
+    def reject(self, exc: BadRequest) -> None:
+        """Answer a malformed request and close the connection: a body left
+        unread would otherwise be parsed as the next request."""
+        self.close_connection = True
+        self.send_json(exc.status, {"error": str(exc)})
 
     def send_json(self, status: int, payload: Any) -> None:
         body = json.dumps(payload).encode()

@@ -230,17 +230,18 @@ class BaseImpl:
         """Register the MPI library and libc in a process's image.
 
         Every rank of a personality gets the same library, so it is built
-        once as a template and cloned per process (bodies resolve the
-        calling endpoint from the process at call time -- see
-        :meth:`_shared_body`); binding each entry point to each endpoint
-        individually made launch itself the scaling wall at thousands of
-        ranks.
+        once as a template and linked into each image by reference (bodies
+        resolve the calling endpoint from the process at call time -- see
+        :meth:`_shared_body`); a rank instantiates only the library
+        functions it looks up.  Binding each entry point to each endpoint,
+        or copying the whole library per rank, made launch itself the
+        scaling wall at thousands of ranks.
         """
         template = self._image_template
         if template is None:
             template = self._build_template()
             self._image_template = template
-        image.clone_library(template)
+        image.link_library(template)
 
     def _build_template(self) -> "Image":
         from ...dyninst.image import Image
@@ -281,7 +282,7 @@ class BaseImpl:
         endpoints = self.universe._ep_of_proc
 
         def body(proc: SimProcess, *args: Any) -> Generator:
-            return (yield from bound(endpoints[id(proc)], proc, *args))
+            return bound(endpoints[id(proc)], proc, *args)
 
         body.__name__ = method
         self._shared_bodies[method] = body
@@ -367,7 +368,7 @@ class BaseImpl:
         in ``read`` itself, so waiting time is *synchronization*, never I/O;
         the actual copy-out syscall cost is charged by :meth:`_charge_recv`.
         """
-        return (yield from proc.block(event))
+        return proc.block(event)
 
     # libc bodies: args are (fd, (wait_event_or_None, syscall_seconds), count)
     def _body_sock_write(self, ep: Endpoint, proc: SimProcess, fd, token, count) -> Generator:

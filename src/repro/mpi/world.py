@@ -55,7 +55,7 @@ class MpiProgram:
     def register(self, image: Image, api: MpiApi) -> None:
         for fname, fn in self.functions().items():
             def body(proc, *args, _fn=fn, _api=api):
-                return (yield from _fn(_api, proc, *args))
+                return _fn(_api, proc, *args)
 
             body.__name__ = fname
             image.add_function(fname, body, module=self.module, tags={"app"})
@@ -63,7 +63,7 @@ class MpiProgram:
         # the program's entry point is a function too, so tools see a
         # complete call chain (main -> app functions -> MPI)
         def main_body(proc, _self=self, _api=api):
-            return (yield from _self.main(_api))
+            return _self.main(_api)
 
         main_body.__name__ = "main"
         image.add_function("main", main_body, module=self.module, tags={"app", "entry"})
@@ -152,7 +152,7 @@ class MpiUniverse:
         self.mpir_proctable: list[MPIR_ProcDesc] = []
         #: id(proc) -> Endpoint, so one shared MPI function body per
         #: personality can recover the calling endpoint from the process
-        #: (images then clone a per-impl template instead of re-binding
+        #: (images then link a per-impl template instead of re-binding
         #: every MPI entry point per rank -- the launch cost at thousands
         #: of ranks)
         self._ep_of_proc: dict[int, Endpoint] = {}

@@ -37,6 +37,11 @@ Scheduling internals (the fast path; see DESIGN.md "kernel fast path"):
   and therefore every observable -- is bit-identical to unbatched
   execution; see DESIGN.md "batched event cohorts" for the invariant
   argument.
+* A ``Delay`` that nothing can overtake is skipped: :meth:`Kernel.fast_forward`
+  advances ``now`` in place when the zero lane is empty and the heap head
+  lies strictly after ``now + dt``, so the caller resumes without a heap
+  round trip or a kernel re-entry.  It consumes one seq number and counts as
+  one event, exactly as the scheduled resume would have.
 """
 
 from __future__ import annotations
@@ -63,6 +68,9 @@ __all__ = [
 #: cohort (below it, per-waiter zero-lane entries are cheaper); the value
 #: only moves the crossover point -- execution order is identical either way
 BATCH_MIN_WAITERS = 8
+
+#: ``Kernel._ff_limit`` outside a plain dispatch: no ``now + dt`` is below it
+_NO_FAST_FORWARD = float("-inf")
 
 
 class SimulationError(RuntimeError):
@@ -294,6 +302,14 @@ class Kernel:
         #: raised, while the blocked tasks' state is still intact -- this is
         #: how correctness tools snapshot the wait-for graph.
         self.deadlock_hooks: list[Callable[[], None]] = []
+        # fast-forward state, live only while run() dispatches a plain
+        # entry: the latest time a resume may reach (``until``), the event
+        # count so far including the entry being dispatched, the run's
+        # event budget and its flight recorder
+        self._ff_limit = _NO_FAST_FORWARD
+        self._ff_events = 0
+        self._ff_max_events = 0
+        self._ff_rec = None
 
     # -- scheduling ---------------------------------------------------------
 
@@ -313,6 +329,35 @@ class Kernel:
         call = _ScheduledCall(self.now + delay, seq, callback, value)
         heapq.heappush(self._queue, (call.time, seq, call))
         return call
+
+    def fast_forward(self, dt: float) -> bool:
+        """Advance ``now`` by ``dt`` in place, if nothing can run first.
+
+        The caller is about to yield ``Delay(dt)`` from inside the plain
+        entry :meth:`run` is dispatching.  When the zero lane is empty, the
+        heap head lies strictly after ``now + dt`` and ``now + dt`` is within
+        ``until``, that resume would be the very next event, so the kernel
+        moves the clock, consumes the seq number and counts the event here
+        and returns True; the caller then continues as if resumed.  Returns
+        False (schedule normally) in every other case, including batched
+        cohorts and any call outside :meth:`run`.
+        """
+        t = self.now + dt
+        if t > self._ff_limit or self._zero:
+            return False
+        queue = self._queue
+        if queue and queue[0][0] <= t:
+            return False
+        events = self._ff_events + 1
+        if events > self._ff_max_events:
+            return False  # the scheduled resume raises the runaway error
+        self._ff_events = events
+        self._seq += 1
+        self.now = t
+        rec = self._ff_rec
+        if rec is not None and not (events & 8191):
+            rec.counter("kernel.events", events, clock="sim", t=t)
+        return True
 
     def _schedule_batch(self, callbacks: list, value: Any) -> None:
         """Enqueue one zero-delay cohort for ``callbacks`` (all fired with
@@ -380,17 +425,28 @@ class Kernel:
         live tasks remain but nothing is scheduled (a real deadlock in the
         simulated program, e.g. an unmatched blocking receive).
         """
+        # Flight recorder: one identity check per dispatched event when
+        # disabled; when enabled, counters are batched (every 8192 events)
+        # so the hot loop stays tight.
+        rec = _observe_active()
+        run_start = rec.now() if rec is not None else 0.0
+        limit = until if until is not None else float("inf")
+        self._ff_limit = limit
+        self._ff_max_events = max_events
+        self._ff_rec = rec
+        try:
+            return self._run_loop(limit, max_events, rec, run_start)
+        finally:
+            self._ff_limit = _NO_FAST_FORWARD
+            self._ff_rec = None
+
+    def _run_loop(self, limit: float, max_events: int, rec, run_start: float) -> float:
         queue = self._queue
         zero = self._zero
         heappop = heapq.heappop
         popleft = zero.popleft
         novalue = _NOVALUE
         events = 0
-        # Flight recorder: one identity check per dispatched event when
-        # disabled; when enabled, counters are batched (every 8192 events)
-        # so the hot loop stays tight.
-        rec = _observe_active()
-        run_start = rec.now() if rec is not None else 0.0
         while True:
             # pick the earlier lane head by (time, seq); zero-lane entries
             # always carry time == now, so they win unless a heap entry is
@@ -409,12 +465,12 @@ class Kernel:
                 from_zero = False
             else:
                 break
-            if until is not None and head.time > until:
-                self.now = until
+            if head.time > limit:
+                self.now = limit
                 if rec is not None and events:
                     rec.complete("kernel.run", rec.now() - run_start,
                                  events=events)
-                return until
+                return limit
             if from_zero:
                 popleft()
             else:
@@ -432,6 +488,9 @@ class Kernel:
                 value = head.value
                 n = len(callbacks)
                 pos = head.pos
+                # a member's resume could be overtaken by the members after
+                # it, so nothing fast-forwards inside a cohort
+                self._ff_limit = _NO_FAST_FORWARD
                 try:
                     while pos < n:
                         callback = callbacks[pos]
@@ -451,17 +510,21 @@ class Kernel:
                         head.pos = pos
                         zero.appendleft(head)
                     raise
+                self._ff_limit = limit
                 continue
             value = head.value
+            events += 1
+            self._ff_events = events
             if value is novalue:
                 head.callback()
             else:
                 head.callback(value)
-            events += 1
             if rec is not None and not (events & 8191):
-                rec.counter("kernel.events", events, clock="sim", t=self.now)
+                rec.counter("kernel.events", events, clock="sim", t=head.time)
             if events > max_events:
                 raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
+            # resumes the callback fast-forwarded through (see fast_forward)
+            events = self._ff_events
         if rec is not None and events:
             rec.complete("kernel.run", rec.now() - run_start, events=events)
         if self._live_tasks > 0:

@@ -187,15 +187,16 @@ class SimProcess:
     def compute(self, seconds: float):
         """Burn ``seconds`` of user CPU time.
 
-        Returns an iterable to drive with ``yield from``.  The zero-cost
-        case returns an empty tuple instead of instantiating a generator --
-        ``yield from ()`` resumes the caller immediately with no kernel
-        round-trip, exactly like the generator early-return did."""
+        Returns an iterable to drive with ``yield from``, and must be driven
+        at once: the burn starts when this is called.  The zero-cost case,
+        and a burn the kernel fast-forwards (nothing else can run before it
+        ends; see :meth:`Kernel.fast_forward`), return an empty tuple, so
+        ``yield from`` resumes the caller with no kernel round trip."""
         if seconds == 0.0:
             return ()
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
-        return self._burn(seconds, ProcState.USER)
+        return self._burn(seconds, _USER)
 
     def syscall(self, seconds: float):
         """Burn ``seconds`` of *system* CPU time (invisible to user-CPU metrics)."""
@@ -203,25 +204,40 @@ class SimProcess:
             return ()
         if seconds < 0:
             raise ValueError(f"negative syscall time: {seconds}")
-        return self._burn(seconds, ProcState.SYSTEM)
+        return self._burn(seconds, _SYSTEM)
 
-    def _burn(self, seconds: float, state: ProcState) -> Generator:
-        # _set_state inlined twice: every compute/syscall passes through
-        # here, and the method-call overhead is measurable in message-heavy
-        # workloads.  The accrual arithmetic is identical to _set_state.
-        now = self.kernel.now
+    def _burn(self, seconds: float, state: ProcState):
+        # _set_state inlined: every compute/syscall passes through here, and
+        # the method-call overhead is measurable in message-heavy workloads.
+        # The accrual arithmetic is identical to _set_state, and the
+        # fast-forwarded end accrues ``(now + seconds) - now`` exactly as the
+        # scheduled resume would.
+        kernel = self.kernel
+        now = kernel.now
         prev = self._state
         if prev is _USER:
             self._cpu_user += now - self._state_since
         elif prev is _SYSTEM:
             self._cpu_system += now - self._state_since
+        if kernel.fast_forward(seconds):
+            end = kernel.now
+            if state is _USER:
+                self._cpu_user += end - now
+            else:
+                self._cpu_system += end - now
+            self._state_since = end
+            self._state = _BLOCKED
+            return ()
         self._state_since = now
         self._state = state
+        return self._burn_until_resumed(seconds, state)
+
+    def _burn_until_resumed(self, seconds: float, state: ProcState) -> Generator:
         yield Delay(seconds)
         now = self.kernel.now
         if state is _USER:
             self._cpu_user += now - self._state_since
-        elif state is _SYSTEM:
+        else:
             self._cpu_system += now - self._state_since
         self._state_since = now
         self._state = _BLOCKED
@@ -234,13 +250,15 @@ class SimProcess:
         value = yield WaitEvent(event)
         return value
 
-    def sleep(self, seconds: float) -> Generator:
-        """Idle (blocked, no CPU) for ``seconds``."""
+    def sleep(self, seconds: float):
+        """Idle (blocked, no CPU) for ``seconds``; an iterable to drive with
+        ``yield from`` at once, fast-forwarded like :meth:`compute`."""
         if seconds < 0:
             raise ValueError(f"negative sleep: {seconds}")
-        self._set_state(ProcState.BLOCKED)
-        if seconds > 0.0:
-            yield Delay(seconds)
+        self._set_state(_BLOCKED)
+        if seconds > 0.0 and not self.kernel.fast_forward(seconds):
+            return (Delay(seconds),)
+        return ()
 
     # -- the instrumented call boundary ---------------------------------------
 
@@ -291,10 +309,11 @@ class SimProcess:
             stack.pop()
         return result
 
-    def _run_snippets(self, snippets, frame: Frame, *, at_entry: bool) -> Generator:
+    def _run_snippets(self, snippets, frame: Frame, *, at_entry: bool):
         # Invokes each snippet's compiled closure directly (skipping the
         # Snippet.execute wrapper); cost accrues by repeated addition so the
         # perturbation charge is bit-identical to the pre-fast-path code.
+        # Returns the perturbation burn, for the caller to ``yield from``.
         sc = self.snippet_cost
         cost = 0.0
         count = 0
@@ -303,8 +322,7 @@ class SimProcess:
             count += 1
             cost += sc
         self.snippets_executed += count
-        if cost > 0.0:
-            yield from self.compute(cost)
+        return self.compute(cost) if cost > 0.0 else ()
 
     def current_function(self) -> Optional[str]:
         return self.stack[-1].name if self.stack else None

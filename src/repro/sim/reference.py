@@ -140,6 +140,11 @@ class ReferenceKernel:
         heapq.heappush(self._queue, call)
         return call
 
+    def fast_forward(self, dt: float) -> bool:
+        """The reference loop never skips a Delay: every resume goes through
+        the heap, which is what the fast-forward is checked against."""
+        return False
+
     def cancel(self, call: _ScheduledCall) -> None:
         """Reference cancellation: mark only; the entry leaks until popped."""
         call.cancelled = True

@@ -98,6 +98,145 @@ class TestImage:
         assert image.app_functions() == [app]
 
 
+# -- lazily linked library images ---------------------------------------------
+#
+# An image linking a shared template must answer every query exactly as an
+# image built eagerly through add_function / add_weak_alias / interpose, in
+# the same order, whatever was looked up first.
+
+NAMES = [f"f{i}" for i in range(8)]
+LIB_MODULES = ["libmpi.so", "libc.so"]
+TAGS = st.frozensets(st.sampled_from(["mpi", "sync", "io"]), max_size=2)
+
+#: one library build step: a function in one of the library modules, or a
+#: weak alias to a name (the step fails in both images when it is invalid)
+LIB_STEP = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(NAMES),
+              st.sampled_from(LIB_MODULES), TAGS),
+    st.tuples(st.just("alias"), st.sampled_from(NAMES), st.sampled_from(NAMES)),
+)
+#: what the process image does after linking: its own functions, PMPI-style
+#: interposition (over library symbols too), weak aliases, and lookups
+APP_STEP = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(NAMES + ["main", "work"]),
+              st.sampled_from(["app.c", "libc.so"]), TAGS),
+    st.tuples(st.just("interpose"), st.sampled_from(NAMES),
+              st.sampled_from(["libwrap.so", "libmpi.so"]), TAGS),
+    st.tuples(st.just("alias"), st.sampled_from(NAMES + ["main"]),
+              st.sampled_from(NAMES + ["main"])),
+    st.tuples(st.just("touch"), st.sampled_from(["resolve", "lookup_strong"]),
+              st.sampled_from(NAMES + ["main", "nope"])),
+)
+BODIES = {name: _gen(name) for name in NAMES + ["main", "work"]}
+
+
+def _apply(image, step):
+    """Run one build step; the outcome (error class or returned name)."""
+    kind = step[0]
+    try:
+        if kind == "add":
+            _, name, module, tags = step
+            image.add_function(name, BODIES[name], module=module,
+                               system=module != "app.c", tags=tags)
+        elif kind == "interpose":
+            _, name, module, tags = step
+            image.interpose(name, BODIES[name], module=module, tags=tags)
+        elif kind == "alias":
+            image.add_weak_alias(step[1], step[2])
+        else:
+            fn = getattr(image, step[1])(step[2])
+            return None if fn is None else fn.name
+    except ImageError:
+        return "ImageError"
+    return None
+
+
+def _sig(fn):
+    return (fn.name, fn.module.name, fn.module.system, fn.body, fn.tags)
+
+
+def _view(image, order):
+    """Every query of the image, asked in ``order``, as comparable values."""
+    names = NAMES + ["main", "work", "nope"]
+
+    def lookups():
+        return [
+            (image.lookup(n) and _sig(image.lookup(n)),
+             image.lookup_strong(n) and _sig(image.lookup_strong(n)),
+             image.defines(n))
+            for n in names
+        ]
+
+    queries = {
+        "lookups": lookups,
+        "tagged": lambda: [[_sig(fn) for fn in image.functions_tagged(tag)]
+                           for tag in ("mpi", "sync", "io")],
+        "app": lambda: [_sig(fn) for fn in image.app_functions()],
+        "table": image.symbol_table,
+        "functions": lambda: [_sig(fn) for fn in image.functions()],
+        "modules": lambda: [
+            (mod.name, mod.system, [(n, _sig(fn)) for n, fn in mod.functions.items()])
+            for mod in image.modules.values()
+        ],
+    }
+    return {key: queries[key]() for key in order}
+
+
+QUERIES = ["lookups", "tagged", "app", "table", "functions", "modules"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LIB_STEP, max_size=12), st.lists(APP_STEP, max_size=12),
+       st.permutations(QUERIES))
+def test_lazy_image_matches_eager(lib_steps, app_steps, order):
+    template = Image("template")
+    eager = Image("eager")
+    for step in lib_steps:
+        _apply(template, step)
+        _apply(eager, step)
+    lazy = Image("lazy")
+    lazy.link_library(template)
+    for step in app_steps:
+        assert _apply(lazy, step) == _apply(eager, step), step
+    seen = {}
+    for name in NAMES + ["main"]:
+        fn = lazy.lookup(name)
+        if fn is not None:
+            seen.setdefault(fn.name, fn)
+    assert _view(lazy, order) == _view(eager, order)
+    assert lazy.symbol_table() == [
+        (fn.module.name, fn.name, fn.module.system, fn.tags) for fn in eager.functions()
+    ]
+    for mod in lazy.modules.values():
+        assert all(fn.module is mod for fn in mod.functions.values())
+    # each name is instantiated at most once, and never shares the
+    # template's definition (whose instrumentation points every rank shares)
+    for fn in lazy.functions():
+        assert fn is not template.lookup_strong(fn.name)
+        assert fn.module is lazy.modules[fn.module.name]
+        if fn.name in seen:
+            assert seen[fn.name] is fn
+
+
+def test_lazy_image_instantiates_only_what_it_looks_up():
+    template = Image("template")
+    for name in NAMES:
+        template.add_function(name, BODIES[name], module="libmpi.so",
+                              system=True, tags={"mpi"})
+    template.add_weak_alias("MPI_f0", "f0")
+    image = Image()
+    image.link_library(template)
+    image.add_function("main", BODIES["main"], module="app.c")
+    assert [row[1] for row in image.symbol_table()] == NAMES + ["main"]
+    fn = image.resolve("MPI_f0")
+    assert fn is image.resolve("f0") and fn is not template.resolve("f0")
+    held = [f for f in image._symbols.values() if f.module is image._modules[f.module.name]]
+    assert [f.name for f in held] == ["f0", "main"]
+    assert len(list(image.functions())) == len(NAMES) + 1
+    with pytest.raises(ImageError):
+        image.link_library(template)
+
+
 class TestVariables:
     def test_counter(self):
         _, proc = make_proc()

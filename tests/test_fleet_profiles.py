@@ -13,8 +13,11 @@ the artifacts.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.events import EventLog
 from repro.fleet.profiles import (
@@ -126,6 +129,12 @@ def test_save_load_round_trip(tmp_path):
     json.dumps({"schema": 99, "jobs": {"k": {"wall": 1.0}}}),
     json.dumps(["a", "list"]),
     json.dumps({"schema": 1, "jobs": {"k": {"no_wall": True}}}),
+    '{"schema": 1, "jobs": {"a": {"wall": 1.0, "n": 1e999}}}',
+    '{"schema": 1, "jobs": {"a": {"wall": NaN, "n": 1}}}',
+    '{"schema": 1, "jobs": {"a": {"wall": Infinity}}}',
+    '{"schema": 1, "jobs": {"a": ["wall"]}}',
+    '{"schema": 1, "seeds": {"tool:x/lam": -Infinity}}',
+    pytest.param("[" * 200000, id="deep-nesting"),
 ])
 def test_corrupt_or_wrong_schema_degrades_to_empty(tmp_path, payload):
     path = tmp_path / PROFILES_NAME
@@ -133,6 +142,47 @@ def test_corrupt_or_wrong_schema_degrades_to_empty(tmp_path, payload):
     store = ProfileStore(path)
     assert store.jobs == {} and store.seeds == {}
     assert store.predict(spec_for("sstwod")) is None
+
+
+def _valid_profiles() -> bytes:
+    store = ProfileStore()
+    for i, program in enumerate(("sstwod", "oned", "wrong_way")):
+        store.observe(spec_for(program), 1.5 + i)
+    store.seeds["tool:other/lam"] = 2.5
+    return json.dumps({"schema": 1, "jobs": store.jobs, "seeds": store.seeds},
+                      indent=1, sort_keys=True).encode()
+
+
+#: byte edits: overwrite, insert or delete at a position (modulo the length);
+#: inserted text favours JSON tokens that parse into hostile values
+EDIT = st.tuples(
+    st.sampled_from(["set", "insert", "delete"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.binary(min_size=1, max_size=4),
+              st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"1e999",
+                               b"[" * 5000, b"null", b"{}", b"[]", b'"x"'])),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(EDIT, min_size=1, max_size=4))
+def test_mutated_profiles_never_raise(tmp_path, edits):
+    data = bytearray(_valid_profiles())
+    for kind, position, text in edits:
+        at = position % (len(data) + 1)
+        if kind == "set":
+            data[at:at + len(text)] = text
+        elif kind == "insert":
+            data[at:at] = text
+        else:
+            del data[at:at + len(text)]
+    path = tmp_path / PROFILES_NAME
+    path.write_bytes(bytes(data))
+    store = ProfileStore(path)
+    walls = [row["wall"] for row in store.jobs.values()] + list(store.seeds.values())
+    assert all(math.isfinite(wall) for wall in walls)
+    store.predict(spec_for("sstwod"))
 
 
 def test_missing_file_is_an_empty_store(tmp_path):

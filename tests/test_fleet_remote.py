@@ -56,7 +56,7 @@ from repro.fleet.remote import (
     RemotePool,
     parse_endpoint,
 )
-from repro.fleet.remote.wire import request_json
+from repro.fleet.remote.wire import MAX_BODY, request, request_json
 
 _CTX = multiprocessing.get_context("fork")
 
@@ -249,8 +249,6 @@ def test_concurrent_put_same_digest_idempotent(store_pair, pinned_version):
 
 def test_store_rejects_malformed_digest(store_pair):
     _, http, _ = store_pair
-    from repro.fleet.remote.wire import request
-
     status, _, _ = request(http.url, "GET", "/artifacts/..evil")
     assert status == 400
 
@@ -533,6 +531,44 @@ def test_malformed_result_is_rejected_and_lease_survives(pinned_version):
         assert request_json(coord.address, "GET", "/health")[0] == 200
         assert coord.result(job["lease"], ok_artifact(spec))["ok"]
         assert coord.status()["completed"] == 1
+    finally:
+        coord.shutdown()
+
+
+#: malformed wire input: (service, method, path, body, headers, status).
+#: A missing or empty POST body still reads as ``{}``.
+WIRE_CASES = {
+    "post-empty-body": ("coord", "POST", "/control", b"", {}, 200),
+    "post-no-body": ("coord", "POST", "/control", None, {}, 200),
+    "post-length-not-int": ("coord", "POST", "/jobs", b"{}", {"Content-Length": "abc"}, 400),
+    "post-length-negative": ("coord", "POST", "/jobs", b"{}", {"Content-Length": "-5"}, 400),
+    "post-oversize": ("coord", "POST", "/jobs", b"{}",
+                      {"Content-Length": str(MAX_BODY + 1)}, 413),
+    "post-not-json": ("coord", "POST", "/jobs", b"not json", {}, 400),
+    "post-not-utf8": ("coord", "POST", "/jobs", b"\xff\xfe", {}, 400),
+    "post-json-list": ("coord", "POST", "/jobs", b"[1, 2]", {}, 400),
+    "put-empty-body": ("store", "PUT", "/artifacts/" + "ab" * 32, b"", {}, 400),
+    "put-length-not-int": ("store", "PUT", "/artifacts/" + "ab" * 32, b"x",
+                           {"Content-Length": "1.5"}, 400),
+    "put-oversize": ("store", "PUT", "/artifacts/" + "ab" * 32, b"x",
+                     {"Content-Length": str(MAX_BODY + 1)}, 413),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIRE_CASES))
+def test_malformed_wire_input_gets_4xx(store_pair, pinned_version, case):
+    service, method, path, body, headers, expected = WIRE_CASES[case]
+    server, http, _ = store_pair
+    coord = FleetCoordinator(lease_timeout=5.0).start()
+    try:
+        address = coord.address if service == "coord" else server.address
+        status, _, data = request(address, method, path, body, headers)
+        assert status == expected, data
+        assert request(address, "GET", "/health")[0] == 200
+        if service == "store":
+            # nothing was stored: the empty upload is not served back
+            assert request(address, "GET", path)[0] == 404
+            assert len(server.cache) == 0
     finally:
         coord.shutdown()
 

@@ -10,8 +10,10 @@ cancellations, event trigger/wait churn, task spawns -- through both and
 compares the full execution logs.
 
 Also here: the cancelled-entry heap-compaction behavior (satellite of the
-fast-path PR: mass cancellation must not leak queue memory) and the
-run-to-run determinism of the ``BENCH_kernel.json`` scenario observables.
+fast-path PR: mass cancellation must not leak queue memory), the run-to-run
+determinism of the ``BENCH_kernel.json`` scenario observables, and the
+fast-forward of lone Delays checked against the reference kernel through
+``SimProcess`` programs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import Delay, Kernel, WaitEvent
+from repro.dyninst.image import Image
+from repro.sim.kernel import Delay, Kernel, SimulationError, WaitEvent
+from repro.sim.node import Cluster
+from repro.sim.process import SimProcess
 from repro.sim.reference import ReferenceKernel
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -284,3 +289,207 @@ def test_bench_summary_has_required_schema_fields():
                     "events_per_sec"} <= set(entry[side])
         assert entry["speedup"] is not None
         assert entry["normalized"] is not None
+
+
+# -- fast-forward of lone Delays ------------------------------------------------
+#
+# SimProcess.compute / syscall / sleep ask Kernel.fast_forward to advance the
+# clock in place when nothing else can run before ``now + dt``; the reference
+# kernel never does.  Programs of compute, syscall, sleep, block and trigger
+# steps run as SimProcess tasks through both kernels, and everything
+# observable must agree: the step log with per-process CPU clocks, the final
+# clocks, ``now`` and ``_seq`` (the event count the golden cells pin).
+
+N_EVENTS = 3
+#: a janitor triggers every event still pending at this time, so a program
+#: blocking on an event nobody triggers cannot deadlock the soup
+JANITOR_AT = 1000.0
+
+DT = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),  # ties between processes
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False),
+)
+STEP = st.one_of(
+    st.tuples(st.sampled_from(["compute", "syscall", "sleep"]), DT),
+    st.tuples(st.sampled_from(["block", "trigger"]),
+              st.integers(min_value=0, max_value=N_EVENTS - 1)),
+)
+#: up to 12 processes; in the second shape at least 8 of them first wait on
+#: one event, so its trigger wakes a batched cohort whose members go on to
+#: compute, sleep and trigger
+PROGRAMS = st.one_of(
+    st.lists(st.lists(STEP, max_size=10), min_size=1, max_size=12),
+    st.lists(st.lists(STEP, max_size=6).map(lambda steps: [("block", 0)] + steps),
+             min_size=8, max_size=12),
+)
+
+
+def _soup(kernel, programs, until=None):
+    cluster = Cluster(num_nodes=1, cpus_per_node=1)
+    node = cluster.nodes[0]
+    events = [kernel.event(f"ev{i}") for i in range(N_EVENTS)]
+    procs = [
+        SimProcess(kernel, Image(), pid=pid, node=node, cpu=node.cpus[0])
+        for pid in range(len(programs))
+    ]
+    log = []
+
+    def body(proc, steps):
+        for index, (kind, arg) in enumerate(steps):
+            if kind == "compute":
+                yield from proc.compute(arg)
+            elif kind == "syscall":
+                yield from proc.syscall(arg)
+            elif kind == "sleep":
+                yield from proc.sleep(arg)
+            elif kind == "block":
+                yield from proc.block(events[arg])
+            elif not events[arg].triggered:
+                events[arg].trigger(proc.pid)
+            log.append((proc.pid, index, kernel.now,
+                        proc.cpu_user_time(), proc.cpu_system_time()))
+
+    def janitor():
+        for event in events:
+            if not event.triggered:
+                event.trigger(-1)
+
+    kernel.schedule(JANITOR_AT, janitor)
+    for proc, steps in zip(procs, programs):
+        kernel.spawn(body(proc, steps), name=f"p{proc.pid}")
+    if until is not None:
+        kernel.run(until=until)
+        log.append(("until", kernel.now, kernel._seq))
+    kernel.run()
+    clocks = [(p.cpu_user_time(), p.cpu_system_time()) for p in procs]
+    return log, clocks, kernel.now, kernel._seq
+
+
+@settings(max_examples=150, deadline=None)
+@given(PROGRAMS, st.one_of(st.none(), st.sampled_from([0.25, 0.5, 1.0, 2.0])))
+def test_process_soup_fast_forward_matches_reference(programs, until):
+    assert _soup(Kernel(), programs, until) == _soup(ReferenceKernel(), programs, until)
+
+
+def _lone_burner(kernel, steps, dt=0.25):
+    cluster = Cluster(num_nodes=1, cpus_per_node=1)
+    node = cluster.nodes[0]
+    proc = SimProcess(kernel, Image(), pid=1, node=node, cpu=node.cpus[0])
+
+    def body():
+        for _ in range(steps):
+            yield from proc.compute(dt)
+
+    kernel.spawn(body(), name="burner")
+    return proc
+
+
+def test_lone_compute_never_touches_the_heap():
+    """A process alone on the kernel: every compute fast-forwards, yet the
+    clocks and the seq count are those of the scheduled path."""
+    kernel = Kernel()
+    proc = _lone_burner(kernel, 40)
+    scheduled = []
+    schedule = kernel.schedule
+    kernel.schedule = lambda *a: scheduled.append(a) or schedule(*a)
+    kernel.run()
+    assert scheduled == []  # the spawn was scheduled before the patch
+    reference = ReferenceKernel()
+    ref_proc = _lone_burner(reference, 40)
+    reference.run()
+    assert (kernel.now, kernel._seq) == (reference.now, reference._seq)
+    assert proc.cpu_user_time() == ref_proc.cpu_user_time()
+
+
+def test_fast_forward_conditions():
+    """Each condition on its own refuses: the zero lane holds an entry, the
+    heap head is not strictly later, the resume would pass ``until``, a
+    cohort is being dispatched, or the kernel is not running at all."""
+    kernel = Kernel()
+    assert not kernel.fast_forward(1.0)  # outside run()
+    seen = []
+
+    def probe(dt):
+        def cb():
+            seen.append(kernel.fast_forward(dt))
+        return cb
+
+    kernel.schedule(0.0, probe(0.5))
+    kernel.schedule(0.0, lambda: None)  # zero lane busy behind the probe
+    kernel.run()
+    assert seen == [False]
+
+    for head_at, expected in ((1.5, False), (1.6, True)):
+        kernel, seen = Kernel(), []
+        kernel.schedule(1.0, probe(0.5))
+        kernel.schedule(head_at, lambda: None)
+        kernel.run()
+        assert seen == [expected], head_at
+
+    for until, expected in ((1.4, False), (1.5, True)):
+        kernel, seen = Kernel(), []
+        kernel.schedule(1.0, probe(0.5))
+        kernel.run(until=until)
+        assert seen == [expected], until
+        assert kernel.now == (1.5 if expected else 1.0)
+
+    kernel, seen = Kernel(), []
+    event = kernel.event()
+    for _ in range(8):  # enough waiters for a batched cohort
+        kernel.spawn(_wait_then_probe(kernel, event, seen))
+    kernel.schedule(1.0, lambda: event.trigger())
+    kernel.run()
+    assert seen == [False] * 8
+
+
+def _wait_then_probe(kernel, event, seen):
+    yield WaitEvent(event)
+    seen.append(kernel.fast_forward(0.5))
+    yield Delay(0.5)
+
+
+def test_fast_forward_keeps_max_events():
+    """The runaway guard fires at the same point with or without the
+    fast-forward: each skipped resume still counts as an event."""
+    outcomes = []
+    for kernel in (Kernel(), ReferenceKernel()):
+        _lone_burner(kernel, 100)
+        with pytest.raises(SimulationError):
+            kernel.run(max_events=50)
+        outcomes.append((kernel.now, kernel._seq))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_fast_forward_keeps_the_event_counter(monkeypatch):
+    """The flight recorder's every-8192-events counter sees the same event
+    numbers at the same virtual times as on the scheduled path."""
+    import repro.sim.kernel as kernel_module
+
+    class Stub:
+        def __init__(self):
+            self.counters = []
+
+        def now(self):
+            return 0.0
+
+        def counter(self, name, value, **args):
+            self.counters.append((name, value, args["t"]))
+
+        def complete(self, name, dur, **args):
+            self.counters.append((name, args["events"]))
+
+        def instant(self, name, **args):
+            pass
+
+    runs = []
+    for fast in (True, False):
+        stub = Stub()
+        monkeypatch.setattr(kernel_module, "_observe_active", lambda: stub)
+        kernel = Kernel()
+        if not fast:
+            kernel.fast_forward = lambda dt: False
+        _lone_burner(kernel, 20000, dt=0.125)
+        kernel.run()
+        runs.append(stub.counters)
+    assert runs[0] == runs[1]
+    assert [value for _, value, *_ in runs[0][:2]] == [8192, 16384]

@@ -181,3 +181,52 @@ def test_daemon_drops_exited_procs_from_sampling():
     data = tool.data("cpu")
     early = min(seen["procs"], key=lambda p: p.pid)
     assert data.histogram_for(early.pid).total() == pytest.approx(0.2, rel=0.25)
+
+
+# -- lazy library images ----------------------------------------------------------
+
+
+def _ranks_hold_only_what_they_resolved(ranks, monkeypatch):
+    """Sanitize a barrier run and check, rank by rank, that the image's own
+    library functions are exactly those its calls resolved: everything else
+    of the personality's library is still the shared template."""
+    import repro.sanitizer.run as sanitizer_run
+    from repro.mpi.world import MpiUniverse
+
+    universes = []
+
+    class Recording(MpiUniverse):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            universes.append(self)
+
+    monkeypatch.setattr(sanitizer_run, "MpiUniverse", Recording)
+    report = sanitizer_run.sanitize_program(
+        bench._programs()["barrier"](), impl=bench.IMPL, nprocs=ranks, seed=bench.SEED
+    )
+    assert report.status == "clean"
+    (universe,) = universes
+    procs = universe.all_procs()
+    assert len(procs) == ranks
+    template = universe.impl._image_template
+    library_size = len(list(template.functions()))
+    for proc in procs:
+        image = proc.image
+        held = {
+            name
+            for module in image._modules.values()
+            for name, fn in module.functions.items()
+            if fn.module is module and fn.module.system
+        }
+        resolved = {fn.name for fn in proc._resolve_cache.values() if fn.module.system}
+        assert held == resolved, proc.pid
+        assert 0 < len(held) < library_size
+
+
+def test_ranks_hold_only_resolved_library_functions_reduced(monkeypatch):
+    _ranks_hold_only_what_they_resolved(64, monkeypatch)
+
+
+@pytest.mark.slow
+def test_ranks_hold_only_resolved_library_functions_full_scale(monkeypatch):
+    _ranks_hold_only_what_they_resolved(1024, monkeypatch)
