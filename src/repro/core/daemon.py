@@ -68,10 +68,8 @@ class Daemon:
         self._exited_pending: list[Any] = []
         self.mutators: dict[int, Mutator] = {}
         self._sampling = False
-        #: proc-major batched reads on the sample path (one pass per process
-        #: over its bound instances, plan cached between structural changes);
-        #: clear to fall back to the pair-major scan
-        self.batched_sampling = True
+        #: the sample path's read plan: per live process, its bound
+        #: instances, cached between structural changes
         self._sample_plan: Optional[list] = None
         #: the detection snippets, shared by every attached process: their
         #: builtins are looked up in the executing process
@@ -232,57 +230,36 @@ class Daemon:
     def sample_now(self, now: float, record_at: float = None) -> None:
         """Read all active instrumentation on this daemon's processes.
 
-        The whole batch of metric reads happens in one pass with the loop
-        invariants hoisted: constant-time membership via the identity set,
-        one ``when`` computation per pair, no per-instance attribute
-        re-lookup.  Sampling runs once per process per interval for every
-        enabled pair, so this is the tool-overhead hot path the paper's
-        cost model is about."""
+        The whole batch of metric reads happens in one pass over the cached
+        plan: one ``when`` computation per pair, no per-instance filtering
+        or attribute re-lookup.  Sampling runs once per process per
+        interval for every enabled pair, so this is the tool-overhead hot
+        path the paper's cost model is about."""
         if record_at is None:
             record_at = now
         observe = self.frontend.cost_tracker.observe
         for proc in self._live:
             if not proc.exited:
                 observe(proc, now)
-        if self.batched_sampling:
-            # proc-major: each process's bound instances read back to back
-            # from the cached plan.  Reordering the reads is histogram-safe:
-            # every (pair, pid) owns its own FoldingHistogram and gets
-            # exactly one delta per pass, so the bytes match the pair-major
-            # scan bin for bin.
-            plan = self._sample_plan
-            if plan is None:
-                plan = self._sample_plan = self._build_sample_plan()
-            whens: dict[int, float] = {}
-            for proc, entries in plan:
-                pid = proc.pid
-                for data, instance in entries:
-                    when = whens.get(id(data))
-                    if when is None:
-                        enabled_at = data.enabled_at
-                        when = record_at if record_at > enabled_at else enabled_at
-                        whens[id(data)] = when
-                    delta = instance.sample_delta()
-                    if delta:
-                        data.record(pid, when, delta)
-        else:
-            proc_set = self._live_set
-            for data in self.frontend.enabled.values():
-                if not data.active:
-                    continue
-                instances = data.instances
-                if not instances:
-                    continue
-                enabled_at = data.enabled_at
-                when = record_at if record_at > enabled_at else enabled_at
-                record = data.record
-                for instance in instances:
-                    proc = instance.proc
-                    if id(proc) not in proc_set:
-                        continue
-                    delta = instance.sample_delta()
-                    if delta:
-                        record(proc.pid, when, delta)
+        # proc-major: each process's bound instances read back to back from
+        # the cached plan.  Every (pair, pid) owns its own FoldingHistogram
+        # and gets exactly one delta per pass, so the read order does not
+        # reach the histogram bytes.
+        plan = self._sample_plan
+        if plan is None:
+            plan = self._sample_plan = self._build_sample_plan()
+        whens: dict[int, float] = {}
+        for proc, entries in plan:
+            pid = proc.pid
+            for data, instance in entries:
+                when = whens.get(id(data))
+                if when is None:
+                    enabled_at = data.enabled_at
+                    when = record_at if record_at > enabled_at else enabled_at
+                    whens[id(data)] = when
+                delta = instance.sample_delta()
+                if delta:
+                    data.record(pid, when, delta)
         if self._exited_pending:
             # this pass read the final deltas of freshly-exited procs
             # (recorded at the same tick the always-scan used to record

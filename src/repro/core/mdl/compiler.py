@@ -233,9 +233,6 @@ class MetricInstance:
         self._last_sample = value
         return delta
 
-    def sample_value(self) -> float:
-        return self.base_var.sample(self.proc)
-
     def delete(self) -> None:
         self.handle.delete()
 

@@ -66,11 +66,16 @@ __all__ = [
     "run_sweep",
     "render_benchmarks",
     "DEFAULT_SANITIZE_IMPLS",
+    "BENCH_SCHEMA",
 ]
 
 SWEEP_SUITES = ("all", "bench", "sanitize")
 DEFAULT_SANITIZE_IMPLS = ("lam", "mpich", "mpich2", "refmpi")
 BENCH_OUT = "BENCH_fleet.json"
+#: the layout of the sweep's BENCH_fleet.json; 5: one per_job row per digest
+#: with its "kind" (experiment, render, opaque-render), no "pipeline";
+#: 4 added "scheduling" and "profiles", 3 "remote" for --workers sweeps
+BENCH_SCHEMA = 5
 
 
 def collect_bench_specs() -> list[RunSpec]:
@@ -473,10 +478,7 @@ def run_sweep(
             for o in outcomes
         ]
         summary = {
-            # schema 5: one per_job row per digest with its "kind" (experiment,
-            # render, opaque-render), no "pipeline"; schema 4 added "scheduling"
-            # and "profiles", schema 3 "remote" for --workers sweeps
-            "schema": 5,
+            "schema": BENCH_SCHEMA,
             "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "suite": suite,
             "jobs": scheduler.requested_jobs,

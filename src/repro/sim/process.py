@@ -140,15 +140,6 @@ class SimProcess:
 
     # -- CPU clocks ----------------------------------------------------------
 
-    def _accrue(self) -> None:
-        now = self.kernel.now
-        state = self._state
-        if state is ProcState.USER:
-            self._cpu_user += now - self._state_since
-        elif state is ProcState.SYSTEM:
-            self._cpu_system += now - self._state_since
-        self._state_since = now
-
     def _set_state(self, state: ProcState) -> None:
         # accrual inlined: this runs twice per compute/syscall, which in
         # message-heavy workloads means several times per simulated call
@@ -323,9 +314,6 @@ class SimProcess:
             cost += sc
         self.snippets_executed += count
         return self.compute(cost) if cost > 0.0 else ()
-
-    def current_function(self) -> Optional[str]:
-        return self.stack[-1].name if self.stack else None
 
     def call_path(self) -> list[str]:
         return [frame.name for frame in self.stack]

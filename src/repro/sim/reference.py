@@ -8,10 +8,11 @@ cancellation bookkeeping), preserved for two jobs:
   mixed workloads (schedule / cancel / zero-delay / SimEvent churn) through
   both kernels and asserts identical execution order and identical virtual
   times, which is the determinism argument for the fast path;
-* **perf baseline** -- ``benchmarks/bench_kernel_throughput.py`` times the
-  same scenarios on both kernels, so ``BENCH_kernel.json`` carries real
-  before/after events-per-second numbers and a machine-independent speedup
-  ratio for the CI perf-smoke gate.
+* **perf baseline** -- the ``kernel/*`` rows of ``benchmarks/bench_perf.py``
+  time the same scenarios on both kernels, so ``BENCH_kernel.json``
+  carries real before/after events-per-second numbers and a speedup
+  ratio, and its ``timer_churn`` is the one calibration that makes every
+  perf gate machine-independent.
 
 It intentionally duplicates the effect/event/task classes' *protocol* from
 ``kernel.py`` rather than importing the optimized ones, so a regression in

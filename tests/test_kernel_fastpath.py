@@ -241,54 +241,55 @@ def test_cancel_is_idempotent_and_order_preserving():
 
 
 def test_bench_scenarios_deterministic_across_runs():
-    """The deterministic observables of every bench scenario (events,
-    virtual time, order checksum) must be identical run to run and across
-    both kernels -- this is the regression test that keeps BENCH_kernel.json
-    artifacts comparable PR over PR."""
-    import bench_kernel_throughput as bench
+    """The deterministic observables of every kernel scenario (events,
+    virtual time, order checksum) must be identical run to run; each row
+    already asserts them equal across both kernels.  This is the
+    regression test that keeps BENCH_kernel.json rows comparable PR over
+    PR."""
+    import bench_perf as bench
 
     sizes = {
-        "timer_churn": {"timers": 40, "fires": 10},
-        "timer_churn_traced": {"timers": 40, "fires": 10},
-        "zero_delay_pingpong": {"rounds": 300},
-        "calls_uninstrumented": {"calls": 200},
-        "calls_instrumented": {"calls": 200},
-        "sampling_on": {"samples": 200},
-        "sampling_off": {"samples": 200},
-        "sampling_batched": {"ranks": 4, "rounds": 12},
+        "kernel/timer_churn": {"timers": 40, "fires": 10},
+        "kernel/timer_churn_traced": {"timers": 40, "fires": 10},
+        "kernel/zero_delay_pingpong": {"rounds": 300},
+        "kernel/calls_uninstrumented": {"calls": 200},
+        "kernel/calls_instrumented": {"calls": 200},
+        "kernel/sampling_on": {"samples": 200},
+        "kernel/sampling_off": {"samples": 200},
+        "kernel/sampling_batched": {"ranks": 4, "rounds": 12},
     }
-    for name, fn in bench.SCENARIOS.items():
-        kwargs = sizes[name]
-        runs = [fn(Kernel, **kwargs) for _ in range(2)]
-        runs.append(fn(ReferenceKernel, **kwargs))
-        assert runs[0] == runs[1] == runs[2], f"scenario {name!r} not deterministic"
-        events, vtime, checksum = runs[0]
+    kernel_rows = bench.family("kernel/")
+    assert {key for key, _ in kernel_rows} == set(sizes)
+    for key, fn in kernel_rows:
+        runs = [fn(**sizes[key]) for _ in range(2)]
+        observed = [(r["events"], r["virtual_time"], r["checksum"]) for r in runs]
+        assert observed[0] == observed[1], f"scenario {key!r} not deterministic"
+        events, vtime, checksum = observed[0]
         assert events > 0 and vtime > 0.0 and checksum != 0
 
 
 def test_bench_summary_has_required_schema_fields():
-    import bench_kernel_throughput as bench
+    import bench_perf as bench
 
     sizes = {
-        "timer_churn": {"timers": 20, "fires": 5},
-        "timer_churn_traced": {"timers": 20, "fires": 5},
-        "zero_delay_pingpong": {"rounds": 50},
-        "calls_uninstrumented": {"calls": 50},
-        "calls_instrumented": {"calls": 50},
-        "sampling_on": {"samples": 50},
-        "sampling_off": {"samples": 50},
-        "sampling_batched": {"ranks": 2, "rounds": 6},
+        "kernel/timer_churn": {"timers": 20, "fires": 5},
+        "kernel/timer_churn_traced": {"timers": 20, "fires": 5},
+        "kernel/zero_delay_pingpong": {"rounds": 50},
+        "kernel/calls_uninstrumented": {"calls": 50},
+        "kernel/calls_instrumented": {"calls": 50},
+        "kernel/sampling_on": {"samples": 50},
+        "kernel/sampling_off": {"samples": 50},
+        "kernel/sampling_batched": {"ranks": 2, "rounds": 6},
     }
-    summary = bench.run_scenarios(sizes)
-    assert summary["schema"] == 1
+    summary = bench.run(bench.family("kernel/"), sizes)
+    assert summary["schema"] == bench.SCHEMA
     assert summary["calibration_events_per_sec"] > 0
-    assert set(summary["scenarios"]) == set(bench.SCENARIOS)
-    for entry in summary["scenarios"].values():
-        for side in ("before", "after"):
-            assert {"events", "virtual_time", "checksum", "wall",
-                    "events_per_sec"} <= set(entry[side])
-        assert entry["speedup"] is not None
-        assert entry["normalized"] is not None
+    assert set(summary["scenarios"]) == set(sizes)
+    for row in summary["scenarios"].values():
+        assert {"events", "virtual_time", "checksum", "wall", "events_per_sec",
+                "reference_events_per_sec"} <= set(row)
+        assert row["speedup"] is not None
+        assert row["normalized"] is not None
 
 
 # -- fast-forward of lone Delays ------------------------------------------------

@@ -453,7 +453,7 @@ def test_observatory_consultant_view_from_live_run(tmp_path):
     from repro.observe.recorder import recording
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-    import bench_scale_ranks as bench
+    import bench_perf as bench
 
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir()

@@ -24,7 +24,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
 
-import bench_scale_ranks as bench
+import bench_perf as bench
 
 from conftest import ScriptProgram, make_universe
 
